@@ -59,22 +59,20 @@ impl Report {
         theta_label: &str,
     ) {
         let build_once = |n_threads: usize| {
-            tabula_par::set_threads(n_threads);
-            let registry = Arc::new(obs::Registry::new());
-            let _cube = SamplingCubeBuilder::new(Arc::clone(table), attrs, loss.clone(), theta)
-                .seed(SEED)
-                .registry(Arc::clone(&registry))
-                .build()
-                .expect("build succeeds");
-            registry.snapshot()
+            tabula_par::scoped_threads(n_threads, || {
+                let registry = Arc::new(obs::Registry::new());
+                let _cube = SamplingCubeBuilder::new(Arc::clone(table), attrs, loss.clone(), theta)
+                    .seed(SEED)
+                    .registry(Arc::clone(&registry))
+                    .build()
+                    .expect("build succeeds");
+                registry.snapshot()
+            })
         };
         let serial_snap = build_once(1);
-        // 0 clears the runtime override: the TABULA_THREADS env knob (or
-        // the core count) decides the parallel configuration.
-        let threads = {
-            tabula_par::set_threads(0);
-            tabula_par::threads()
-        };
+        // 0 sets no override: the TABULA_THREADS env knob (or the core
+        // count) decides the parallel configuration.
+        let threads = tabula_par::threads();
         let snap = build_once(0);
         let stage_ns =
             |s: &obs::MetricsSnapshot, name: &str| s.histograms.get(name).map_or(0, |h| h.sum_ns);
@@ -144,13 +142,9 @@ fn main() {
         let col = table.schema().index_of(name).expect("cubed attribute exists");
         let _ = table.cat(col);
     }
-    let kernels = match tabula_storage::kernel_mode() {
-        tabula_storage::KernelMode::ForceScalar => "scalar",
-        _ => "vectorized",
-    };
     let attrs5: Vec<&str> = CUBED_ATTRIBUTES[..5].to_vec();
     println!(
-        "# Figure 8 | rows = {rows} | attributes = 5 (a–c) / 4–7 (d) | threads = {} (serial baseline: 1) | kernels = {kernels}",
+        "# Figure 8 | rows = {rows} | attributes = 5 (a–c) / 4–7 (d) | threads = {} (serial baseline: 1)",
         tabula_par::threads()
     );
 
@@ -217,7 +211,7 @@ fn main() {
     match write_run_summary(
         "fig08_init_time",
         &report.aggregate.snapshot(),
-        &[("results", Value::Arr(report.results)), ("kernels", Value::Str(kernels.to_owned()))],
+        &[("results", Value::Arr(report.results))],
     ) {
         Ok(path) => println!("\nrun summary written to {}", path.display()),
         Err(e) => eprintln!("\ncould not write run summary: {e}"),

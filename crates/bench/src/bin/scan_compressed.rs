@@ -35,8 +35,8 @@ use tabula_core::builder::{MaterializationMode, SamplingCubeBuilder};
 use tabula_core::loss::MeanLoss;
 use tabula_core::SamplingCube;
 use tabula_storage::{
-    group_by, set_encoding_mode, CmpOp, ColumnType, EncodingMode, Field, GroupedRows, Predicate,
-    RowId, Schema, Table, TableBuilder,
+    group_by, CmpOp, ColumnType, EncodingMode, Field, GroupedRows, Predicate, RowId, Schema, Table,
+    TableBuilder,
 };
 
 /// Enough rows for stable ns/row and visible run structure at the largest
@@ -53,10 +53,9 @@ fn bench_rows() -> usize {
 /// A synthetic table whose categorical and float columns repeat in runs
 /// of `run_len` (`run_len = 1` is fully scattered): `v` (Str, 8 values),
 /// `k` (Int64, 16 values), `x` (Float64, 32 values), and a scattered
-/// measure `m`. Built with encoding off — the caller derives the encoded
-/// twin explicitly.
+/// measure `m`. Frozen with encoding off — the caller derives the
+/// encoded twin explicitly.
 fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
-    set_encoding_mode(EncodingMode::Off);
     let schema = Schema::new(vec![
         Field::new("v", ColumnType::Str),
         Field::new("k", ColumnType::Int64),
@@ -76,20 +75,13 @@ fn plain_table(rows: usize, run_len: usize) -> Arc<Table> {
         ])
         .expect("synthetic rows conform to schema");
     }
-    Arc::new(b.finish())
+    Arc::new(b.finish().with_encoding(EncodingMode::Off))
 }
 
 /// The force-encoded twin: same rows, every column frozen under
 /// [`EncodingMode::Force`].
 fn encoded_twin(t: &Table) -> Arc<Table> {
-    let cols = (0..t.schema().fields().len())
-        .map(|i| {
-            let mut c = t.column(i).clone();
-            c.encode_for_freeze(EncodingMode::Force);
-            c
-        })
-        .collect();
-    Arc::new(Table::from_columns(t.schema().clone(), cols).expect("twin columns are consistent"))
+    Arc::new(t.with_encoding(EncodingMode::Force))
 }
 
 /// Best-of-`reps` wall time of `f`, after one untimed warmup run.
@@ -163,90 +155,96 @@ fn main() {
     let rows = bench_rows();
     let reps = 5;
     // Kernel time, not scheduler time: pin to one worker.
-    tabula_par::set_threads(1);
+    let (results, clustered_scan_speedup, plain_bytes, encoded_bytes, reduction, load_ns) =
+        tabula_par::scoped_threads(1, || {
+            println!("# scan_compressed | rows = {rows} | threads = 1 | best of {reps}");
+            println!(
+                "{:<9} {:<13} {:>11} {:>13} {:>9} {:>11} {:>13}",
+                "bench", "", "plain ns/r", "encoded ns/r", "speedup", "plain B/r", "encoded B/r"
+            );
 
-    println!("# scan_compressed | rows = {rows} | threads = 1 | best of {reps}");
-    println!(
-        "{:<9} {:<13} {:>11} {:>13} {:>9} {:>11} {:>13}",
-        "bench", "", "plain ns/r", "encoded ns/r", "speedup", "plain B/r", "encoded B/r"
-    );
+            let mut results = Vec::new();
+            let mut clustered_scan_speedup = 0.0f64;
+            for run_len in [1usize, 64, 1024] {
+                let plain = plain_table(rows, run_len);
+                let encoded = encoded_twin(&plain);
+                // Warm the categorical indexes outside every timed region.
+                for t in [&plain, &encoded] {
+                    let _ = t.cat(0);
+                    let _ = t.cat(1);
+                }
+                let pred = Predicate::all().and("v".to_owned(), CmpOp::Eq, plain.value(0, 0)).and(
+                    "x".to_owned(),
+                    CmpOp::Ge,
+                    tabula_storage::Value::Float64(1.0),
+                );
 
-    let mut results = Vec::new();
-    let mut clustered_scan_speedup = 0.0f64;
-    for run_len in [1usize, 64, 1024] {
-        let plain = plain_table(rows, run_len);
-        let encoded = encoded_twin(&plain);
-        // Warm the categorical indexes outside every timed region.
-        for t in [&plain, &encoded] {
-            let _ = t.cat(0);
-            let _ = t.cat(1);
-        }
-        let pred = Predicate::all().and("v".to_owned(), CmpOp::Eq, plain.value(0, 0)).and(
-            "x".to_owned(),
-            CmpOp::Ge,
-            tabula_storage::Value::Float64(1.0),
+                let (plain_ns, plain_ids) =
+                    time_best(reps, || pred.filter(&plain).expect("plain filter"));
+                let (enc_ns, enc_ids) =
+                    time_best(reps, || pred.filter(&encoded).expect("encoded filter"));
+                assert_eq!(
+                    plain_ids, enc_ids,
+                    "run_len={run_len}: encoded scan diverges from plain"
+                );
+                let (_, plain_stats) = pred.filter_with_stats(&plain).expect("plain stats");
+                let (_, enc_stats) = pred.filter_with_stats(&encoded).expect("encoded stats");
+                let speedup = plain_ns as f64 / enc_ns.max(1) as f64;
+                if run_len == 1024 {
+                    clustered_scan_speedup = speedup;
+                }
+                results.push(result_row(
+                    "scan",
+                    run_len,
+                    rows,
+                    plain_ns,
+                    enc_ns,
+                    plain_stats.bytes_scanned,
+                    enc_stats.bytes_scanned,
+                    enc_stats.kernel.name(),
+                ));
+
+                let cols = [0usize, 1];
+                let (plain_ns, plain_groups) =
+                    time_best(reps, || group_by(&plain, &cols).expect("plain group_by"));
+                let (enc_ns, enc_groups) =
+                    time_best(reps, || group_by(&encoded, &cols).expect("encoded group_by"));
+                assert_eq!(
+                    grouping_bytes(&plain_groups),
+                    grouping_bytes(&enc_groups),
+                    "run_len={run_len}: encoded grouping diverges from plain"
+                );
+                results.push(result_row("group_by", run_len, rows, plain_ns, enc_ns, 0, 0, "runs"));
+            }
+
+            // Snapshot lane: cube over the clustered twins; encoded blocks persist
+            // verbatim, so the size delta is the column-payload compression.
+            let plain = plain_table(rows, 1024);
+            let encoded = encoded_twin(&plain);
+            let m = plain.schema().index_of("m").expect("measure column");
+            let cube_over = |t: &Arc<Table>| {
+                SamplingCubeBuilder::new(Arc::clone(t), &["v", "k"], MeanLoss::new(m), 0.10)
+                    .seed(1)
+                    .mode(MaterializationMode::Tabula)
+                    .build()
+                    .expect("cube build succeeds")
+            };
+            let plain_bytes = cube_over(&plain).snapshot_bytes(1).expect("plain snapshot");
+            let encoded_bytes = cube_over(&encoded).snapshot_bytes(1).expect("encoded snapshot");
+            let reduction = 1.0 - encoded_bytes.len() as f64 / plain_bytes.len() as f64;
+            let (load_ns, _) = time_best(reps, || {
+                SamplingCube::from_snapshot_bytes(encoded_bytes.clone())
+                    .expect("encoded snapshot loads")
+            });
+            println!(
+            "snapshot  run_len=1024  plain {} B, encoded {} B ({:.1}% smaller), encoded load {:.2} ms",
+            plain_bytes.len(),
+            encoded_bytes.len(),
+            reduction * 100.0,
+            load_ns as f64 / 1e6,
         );
-
-        let (plain_ns, plain_ids) = time_best(reps, || pred.filter(&plain).expect("plain filter"));
-        let (enc_ns, enc_ids) = time_best(reps, || pred.filter(&encoded).expect("encoded filter"));
-        assert_eq!(plain_ids, enc_ids, "run_len={run_len}: encoded scan diverges from plain");
-        let (_, plain_stats) = pred.filter_with_stats(&plain).expect("plain stats");
-        let (_, enc_stats) = pred.filter_with_stats(&encoded).expect("encoded stats");
-        let speedup = plain_ns as f64 / enc_ns.max(1) as f64;
-        if run_len == 1024 {
-            clustered_scan_speedup = speedup;
-        }
-        results.push(result_row(
-            "scan",
-            run_len,
-            rows,
-            plain_ns,
-            enc_ns,
-            plain_stats.bytes_scanned,
-            enc_stats.bytes_scanned,
-            enc_stats.kernel.name(),
-        ));
-
-        let cols = [0usize, 1];
-        let (plain_ns, plain_groups) =
-            time_best(reps, || group_by(&plain, &cols).expect("plain group_by"));
-        let (enc_ns, enc_groups) =
-            time_best(reps, || group_by(&encoded, &cols).expect("encoded group_by"));
-        assert_eq!(
-            grouping_bytes(&plain_groups),
-            grouping_bytes(&enc_groups),
-            "run_len={run_len}: encoded grouping diverges from plain"
-        );
-        results.push(result_row("group_by", run_len, rows, plain_ns, enc_ns, 0, 0, "runs"));
-    }
-
-    // Snapshot lane: cube over the clustered twins; encoded blocks persist
-    // verbatim, so the size delta is the column-payload compression.
-    let plain = plain_table(rows, 1024);
-    let encoded = encoded_twin(&plain);
-    let m = plain.schema().index_of("m").expect("measure column");
-    let cube_over = |t: &Arc<Table>| {
-        SamplingCubeBuilder::new(Arc::clone(t), &["v", "k"], MeanLoss::new(m), 0.10)
-            .seed(1)
-            .mode(MaterializationMode::Tabula)
-            .build()
-            .expect("cube build succeeds")
-    };
-    let plain_bytes = cube_over(&plain).snapshot_bytes(1).expect("plain snapshot");
-    let encoded_bytes = cube_over(&encoded).snapshot_bytes(1).expect("encoded snapshot");
-    let reduction = 1.0 - encoded_bytes.len() as f64 / plain_bytes.len() as f64;
-    let (load_ns, _) = time_best(reps, || {
-        SamplingCube::from_snapshot_bytes(encoded_bytes.clone()).expect("encoded snapshot loads")
-    });
-    println!(
-        "snapshot  run_len=1024  plain {} B, encoded {} B ({:.1}% smaller), encoded load {:.2} ms",
-        plain_bytes.len(),
-        encoded_bytes.len(),
-        reduction * 100.0,
-        load_ns as f64 / 1e6,
-    );
-
-    tabula_par::set_threads(0);
+            (results, clustered_scan_speedup, plain_bytes, encoded_bytes, reduction, load_ns)
+        });
 
     let registry = tabula_obs::Registry::new();
     match write_run_summary(

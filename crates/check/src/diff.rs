@@ -1,13 +1,14 @@
 //! The diff engine: replay a generated case through the real pipeline —
-//! every materialization mode, multiple thread counts, both build-kernel
-//! paths (vectorized and scalar) — and through the naive oracle, and
-//! report the first divergence. A diverging case can be
+//! every materialization mode, multiple thread counts, every storage
+//! operator against its row-at-a-time reference — and through the naive
+//! oracle, and report the first divergence. A diverging case can be
 //! auto-shrunk ([`shrink`]) to a minimal reproducer and printed as a
 //! ready-to-paste regression test
 //! ([`CaseSpec::to_regression_test`]).
 
 use crate::generate::{gen_where_terms, CaseSpec};
 use crate::oracle::{naive_cube, naive_filter, LossSpec, NaiveCube};
+use crate::reference::diff_kernels;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -20,10 +21,7 @@ use tabula_core::loss::{
 use tabula_core::{MaterializationMode, SampleProvenance, SamplingCube, SamplingCubeBuilder};
 use tabula_serve::{AnswerCache, Server};
 use tabula_storage::cube::CellKey;
-use tabula_storage::{
-    encoding_mode, kernel_mode, set_encoding_mode, set_kernel_mode, CmpOp, EncodingMode,
-    KernelMode, Predicate, RowId, Table, Value,
-};
+use tabula_storage::{CmpOp, EncodingMode, Predicate, RowId, Table, Value};
 
 /// Every materialization mode the diff engine sweeps.
 pub const MODES: [MaterializationMode; 4] = [
@@ -34,7 +32,8 @@ pub const MODES: [MaterializationMode; 4] = [
 ];
 
 /// Thread counts the diff engine sweeps (determinism must hold across
-/// them; `tabula_par::set_threads` is the override knob).
+/// them; each sweep runs under `tabula_par::scoped_threads`, so
+/// concurrent diff runs never see each other's thread count).
 pub const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// Client thread counts the serve-path lane sweeps: the serving layer
@@ -42,43 +41,22 @@ pub const THREAD_COUNTS: [usize; 2] = [1, 4];
 /// under concurrent clients.
 pub const SERVE_CLIENTS: [usize; 2] = [1, 8];
 
-/// Opt-in switch for the snapshot lane ([`set_snapshot_lane`]): when on,
-/// every case additionally freezes the built cube into an in-memory
-/// `tabula-store` snapshot, thaws it back, and requires byte-identical
-/// fingerprints, answers, and re-frozen bytes. Off by default because it
-/// roughly doubles per-case cost; `fuzz_check --snapshot` turns it on.
-static SNAPSHOT_LANE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enable or disable the snapshot round-trip lane for subsequent
-/// [`diff_case`] / [`diff_with_loss`] calls (process-global, like the
-/// kernel-mode override).
-pub fn set_snapshot_lane(on: bool) {
-    SNAPSHOT_LANE.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the snapshot lane is currently enabled.
-pub fn snapshot_lane() -> bool {
-    SNAPSHOT_LANE.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Opt-in switch for the encoding lane ([`set_encoding_lane`]): when on,
-/// every case additionally rebuilds the table and cube under
-/// `TABULA_ENCODING=off` (plain reference) and `force` (maximum
-/// encoded-kernel coverage) and requires byte-identical fingerprints —
-/// cells, iceberg sets, sample row ids — plus serve-path identity on the
-/// forced build. Off by default; `fuzz_check --encoding` turns it on.
-static ENCODING_LANE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enable or disable the encoding differential lane for subsequent
-/// [`diff_case`] / [`diff_with_loss`] calls (process-global, like the
-/// kernel-mode override).
-pub fn set_encoding_lane(on: bool) {
-    ENCODING_LANE.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the encoding lane is currently enabled.
-pub fn encoding_lane() -> bool {
-    ENCODING_LANE.load(std::sync::atomic::Ordering::SeqCst)
+/// The opt-in differential lanes of one diff run, on top of the checks
+/// every case always gets. Both are off by default because each roughly
+/// doubles per-case cost; `fuzz_check --snapshot` / `--encoding` / `--all`
+/// turn them on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lanes {
+    /// Freeze every built cube into an in-memory `tabula-store` snapshot,
+    /// thaw it back, and require byte-identical fingerprints, answers, and
+    /// re-frozen bytes.
+    pub snapshot: bool,
+    /// Rebuild every materialization mode over the case's table
+    /// re-frozen under `EncodingMode::Off` (plain reference) and `Force`
+    /// (maximum encoded-kernel coverage) and require byte-identical
+    /// fingerprints — cells, iceberg sets, sample row ids — plus
+    /// serve-path identity on the forced build.
+    pub encoding: bool,
 }
 
 /// Cells whose naive loss sits within this band of θ are excluded from
@@ -129,22 +107,24 @@ impl NaiveEval for LossSpec {
 
 /// Run the full differential check for one case, dispatching the case's
 /// [`LossSpec`] to the matching production kernel.
-pub fn diff_case(case: &CaseSpec) -> Result<CaseReport, Divergence> {
+pub fn diff_case(case: &CaseSpec, lanes: Lanes) -> Result<CaseReport, Divergence> {
     let table = case.table();
     let col = |name: &str| {
         table.schema().index_of(name).unwrap_or_else(|_| panic!("case column {name} missing"))
     };
     match &case.loss {
-        LossSpec::Mean { attr } => diff_with_loss(case, MeanLoss::new(col(attr)), &case.loss),
+        LossSpec::Mean { attr } => {
+            diff_with_loss(case, MeanLoss::new(col(attr)), &case.loss, lanes)
+        }
         LossSpec::Histogram { attr } => {
-            diff_with_loss(case, HistogramLoss::new(col(attr)), &case.loss)
+            diff_with_loss(case, HistogramLoss::new(col(attr)), &case.loss, lanes)
         }
         LossSpec::Heatmap { attr, manhattan } => {
             let metric = if *manhattan { Metric::Manhattan } else { Metric::Euclidean };
-            diff_with_loss(case, HeatmapLoss::new(col(attr), metric), &case.loss)
+            diff_with_loss(case, HeatmapLoss::new(col(attr), metric), &case.loss, lanes)
         }
         LossSpec::Regression { x, y } => {
-            diff_with_loss(case, RegressionLoss::new(col(x), col(y)), &case.loss)
+            diff_with_loss(case, RegressionLoss::new(col(x), col(y)), &case.loss, lanes)
         }
     }
 }
@@ -155,6 +135,7 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
     case: &CaseSpec,
     loss: L,
     oracle: &dyn NaiveEval,
+    lanes: Lanes,
 ) -> Result<CaseReport, Divergence> {
     let table = case.table();
     let reference = naive_cube(&table, &case.attrs)
@@ -164,47 +145,40 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
     let mut report = CaseReport::default();
     let mut fingerprints: Vec<Vec<Fingerprint>> = Vec::new();
     for &threads in &THREAD_COUNTS {
-        tabula_par::set_threads(threads);
-        let mut per_mode = Vec::new();
-        for &mode in &MODES {
-            let cube =
-                SamplingCubeBuilder::new(Arc::clone(&table), &attr_refs, loss.clone(), case.theta)
-                    .mode(mode)
-                    .serfling(case.serfling_config())
-                    .seed(case.build_seed)
-                    .parallelism(threads)
-                    .build()
-                    .map_err(|e| Divergence {
-                        check: "build",
-                        detail: format!("{mode:?} threads={threads}: build failed: {e:?}"),
-                    })?;
-            per_mode.push(Fingerprint::of(&cube));
-            if threads == THREAD_COUNTS[0] {
-                let r = check_cube(case, &table, &cube, mode, oracle, &reference);
-                // Restore the default before propagating, so a divergence
-                // does not leak a thread override into the caller.
-                if let Err(e) = r {
-                    tabula_par::set_threads(0);
-                    return Err(e);
-                }
-                let (cells, queries) = r.unwrap();
-                report.cells_checked += cells;
-                report.queries_checked += queries;
-                if let Err(e) = check_serve(case, &cube, mode) {
-                    tabula_par::set_threads(0);
-                    return Err(e);
-                }
-                if snapshot_lane() {
-                    if let Err(e) = check_snapshot(case, &cube, mode) {
-                        tabula_par::set_threads(0);
-                        return Err(e);
+        let per_mode = tabula_par::scoped_threads(threads, || {
+            let mut per_mode = Vec::new();
+            for &mode in &MODES {
+                let cube = SamplingCubeBuilder::new(
+                    Arc::clone(&table),
+                    &attr_refs,
+                    loss.clone(),
+                    case.theta,
+                )
+                .mode(mode)
+                .serfling(case.serfling_config())
+                .seed(case.build_seed)
+                .parallelism(threads)
+                .build()
+                .map_err(|e| Divergence {
+                    check: "build",
+                    detail: format!("{mode:?} threads={threads}: build failed: {e:?}"),
+                })?;
+                per_mode.push(Fingerprint::of(&cube));
+                if threads == THREAD_COUNTS[0] {
+                    let (cells, queries) =
+                        check_cube(case, &table, &cube, mode, oracle, &reference)?;
+                    report.cells_checked += cells;
+                    report.queries_checked += queries;
+                    check_serve(case, &cube, mode)?;
+                    if lanes.snapshot {
+                        check_snapshot(case, &cube, mode)?;
                     }
                 }
             }
-        }
+            Ok(per_mode)
+        })?;
         fingerprints.push(per_mode);
     }
-    tabula_par::set_threads(0);
 
     for (m, &mode) in MODES.iter().enumerate() {
         for t in 1..THREAD_COUNTS.len() {
@@ -219,60 +193,22 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
             }
         }
     }
-    // The kernel-differential lane: rebuild every mode with the scalar
-    // reference kernels (`KernelMode::ForceScalar`) and require byte
-    // identity with the first-pass build, which ran whatever kernels the
-    // ambient mode selected (vectorized by default). Fuzz cases run
-    // sequentially in-process, so flipping the process-global mode here
-    // is safe; it is restored on every exit path.
-    let prev_kernel = kernel_mode();
-    set_kernel_mode(KernelMode::ForceScalar);
-    tabula_par::set_threads(THREAD_COUNTS[0]);
-    let scalar_pass = (|| {
-        for (m, &mode) in MODES.iter().enumerate() {
-            let cube =
-                SamplingCubeBuilder::new(Arc::clone(&table), &attr_refs, loss.clone(), case.theta)
-                    .mode(mode)
-                    .serfling(case.serfling_config())
-                    .seed(case.build_seed)
-                    .parallelism(THREAD_COUNTS[0])
-                    .build()
-                    .map_err(|e| Divergence {
-                        check: "build",
-                        detail: format!("{mode:?} scalar kernels: build failed: {e:?}"),
-                    })?;
-            if Fingerprint::of(&cube) != fingerprints[0][m] {
-                return Err(Divergence {
-                    check: "kernel_differential",
-                    detail: format!(
-                        "{mode:?}: cube built with scalar kernels differs from the \
-                         vectorized build at {} threads",
-                        THREAD_COUNTS[0]
-                    ),
-                });
-            }
-        }
-        Ok(())
-    })();
-    set_kernel_mode(prev_kernel);
-    tabula_par::set_threads(0);
-    scalar_pass?;
+    // The kernel-differential lane: every storage operator the build
+    // leans on, on the case's table frozen plain and fully encoded,
+    // against its row-at-a-time reference in `crate::reference`.
+    diff_kernels(case, &table)?;
 
-    // The encoding-differential lane: rebuild the *table* (freezing
-    // re-applies the encoding mode) and every materialization mode under
-    // `TABULA_ENCODING=off` and `force`, and require byte identity with
-    // the first-pass build, which ran under the ambient (Auto) mode.
-    // Column encoding is a physical property — it must never change a
-    // cell set, an iceberg classification, or a sampled row id. The
-    // forced build additionally goes through the serve check, so served
-    // answers over encoded columns are compared too.
-    if encoding_lane() {
-        let prev_encoding = encoding_mode();
-        tabula_par::set_threads(THREAD_COUNTS[0]);
-        let encoding_pass = (|| {
+    // The encoding-differential lane: rebuild every materialization mode
+    // over the table re-frozen under `Off` and `Force`, and require byte
+    // identity with the first-pass build over the `Auto` freeze. Column
+    // encoding is a physical property — it must never change a cell set,
+    // an iceberg classification, or a sampled row id. The forced build
+    // additionally goes through the serve check, so served answers over
+    // encoded columns are compared too.
+    if lanes.encoding {
+        tabula_par::scoped_threads(THREAD_COUNTS[0], || {
             for enc in [EncodingMode::Off, EncodingMode::Force] {
-                set_encoding_mode(enc);
-                let table = case.table();
+                let table = Arc::new(table.with_encoding(enc));
                 for (m, &mode) in MODES.iter().enumerate() {
                     let cube = SamplingCubeBuilder::new(
                         Arc::clone(&table),
@@ -293,8 +229,8 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                         return Err(Divergence {
                             check: "encoding_differential",
                             detail: format!(
-                                "{mode:?}: cube built under TABULA_ENCODING={enc:?} \
-                                 differs from the ambient-mode build"
+                                "{mode:?}: cube built over the {enc:?}-encoded table \
+                                 differs from the Auto-encoded build"
                             ),
                         });
                     }
@@ -304,10 +240,7 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
                 }
             }
             Ok(())
-        })();
-        set_encoding_mode(prev_encoding);
-        tabula_par::set_threads(0);
-        encoding_pass?;
+        })?;
     }
 
     // Tabula and TabulaStar share the dry-run classifier verbatim, so
@@ -902,7 +835,7 @@ impl CaseSpec {
         let _ = writeln!(s, "/// Divergence: {divergence}");
         let _ = writeln!(s, "#[test]");
         let _ = writeln!(s, "fn {fn_name}() {{");
-        let _ = writeln!(s, "    use tabula_check::{{diff_case, CaseSpec, LossSpec}};");
+        let _ = writeln!(s, "    use tabula_check::{{diff_case, CaseSpec, Lanes, LossSpec}};");
         let _ = writeln!(s, "    use tabula_storage::{{ColumnType, Point, Value}};");
         let _ = writeln!(s, "    let case = CaseSpec {{");
         let _ = writeln!(s, "        name: {:?}.into(),", self.name);
@@ -937,7 +870,7 @@ impl CaseSpec {
         }
         let _ = writeln!(s, "        ],");
         let _ = writeln!(s, "    }};");
-        let _ = writeln!(s, "    let diverged = diff_case(&case).err();");
+        let _ = writeln!(s, "    let diverged = diff_case(&case, Lanes::default()).err();");
         let _ = writeln!(
             s,
             "    assert!(diverged.is_none(), \"divergence persists: {{diverged:?}}\");"
@@ -951,22 +884,15 @@ impl CaseSpec {
 mod tests {
     use super::*;
     use crate::generate::gen_case;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that drive the diff engine: the engine's
-    /// kernel-differential lane flips the process-global kernel mode, so
-    /// concurrent runs would observe each other's transient ForceScalar.
-    static DIFF_LOCK: Mutex<()> = Mutex::new(());
 
     /// The clean pipeline must survive a handful of pinned seeds across
     /// every mode and thread count. (The heavyweight sweep lives in the
     /// `fuzz_check` bench binary and the fuzz-smoke CI job.)
     #[test]
     fn clean_pipeline_has_no_divergence_on_pinned_seeds() {
-        let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for seed in [1, 2, 3, 4, 5] {
             let case = gen_case(seed);
-            if let Err(d) = diff_case(&case) {
+            if let Err(d) = diff_case(&case, Lanes::default()) {
                 panic!("seed {seed} ({}): {d}", case.loss.name());
             }
         }
@@ -1015,12 +941,12 @@ mod tests {
 
     #[test]
     fn injected_loss_kernel_bug_is_caught_and_shrunk() {
-        let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let check = |case: &CaseSpec| -> Option<Divergence> {
             let LossSpec::Mean { attr } = &case.loss else { return None };
             let table = case.table();
             let col = table.schema().index_of(attr).unwrap();
-            diff_with_loss(case, HalvedMeanLoss(MeanLoss::new(col)), &case.loss).err()
+            diff_with_loss(case, HalvedMeanLoss(MeanLoss::new(col)), &case.loss, Lanes::default())
+                .err()
         };
         let mut caught = None;
         for seed in 0..60 {
@@ -1045,7 +971,10 @@ mod tests {
         assert!(repro.contains("#[test]") && repro.contains("diff_case"), "reproducer:\n{repro}");
         // The clean kernel must pass the shrunk case: the bug is in the
         // sabotage, not the pipeline.
-        assert!(diff_case(&shrunk.case).is_ok(), "clean kernel fails the shrunk case");
+        assert!(
+            diff_case(&shrunk.case, Lanes::default()).is_ok(),
+            "clean kernel fails the shrunk case"
+        );
     }
 
     /// The snapshot lane must pass on clean pinned seeds: freeze → thaw →
@@ -1053,57 +982,28 @@ mod tests {
     /// sweep runs in `fuzz_check --snapshot`.)
     #[test]
     fn snapshot_lane_round_trips_pinned_seeds() {
-        let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_snapshot_lane(true);
-        let result: Result<(), String> = (|| {
-            for seed in [1, 6, 9] {
-                let case = gen_case(seed);
-                diff_case(&case).map_err(|d| format!("seed {seed} ({}): {d}", case.loss.name()))?;
+        let lanes = Lanes { snapshot: true, ..Lanes::default() };
+        for seed in [1, 6, 9] {
+            let case = gen_case(seed);
+            if let Err(d) = diff_case(&case, lanes) {
+                panic!("seed {seed} ({}): {d}", case.loss.name());
             }
-            Ok(())
-        })();
-        set_snapshot_lane(false);
-        result.unwrap();
+        }
     }
 
-    /// The encoding lane must pass on clean pinned seeds — rebuilding
-    /// under `TABULA_ENCODING=off` and `force` is byte-identical to the
-    /// ambient build for every materialization mode — and must leave the
-    /// process-global encoding mode exactly as it found it: a leaked
-    /// Force would silently re-encode every later frozen table. (The
-    /// wide sweep runs in `fuzz_check --encoding`.)
+    /// The encoding lane must pass on clean pinned seeds: rebuilding over
+    /// the `Off` and `Force` freezes of the table is byte-identical to the
+    /// `Auto` build for every materialization mode. (The wide sweep runs
+    /// in `fuzz_check --encoding`.)
     #[test]
-    fn encoding_lane_round_trips_pinned_seeds_and_restores_the_mode() {
-        let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = encoding_mode();
-        set_encoding_mode(EncodingMode::Auto);
-        set_encoding_lane(true);
-        let result: Result<(), String> = (|| {
-            for seed in [1, 6, 9] {
-                let case = gen_case(seed);
-                diff_case(&case).map_err(|d| format!("seed {seed} ({}): {d}", case.loss.name()))?;
+    fn encoding_lane_round_trips_pinned_seeds() {
+        let lanes = Lanes { encoding: true, ..Lanes::default() };
+        for seed in [1, 6, 9] {
+            let case = gen_case(seed);
+            if let Err(d) = diff_case(&case, lanes) {
+                panic!("seed {seed} ({}): {d}", case.loss.name());
             }
-            Ok(())
-        })();
-        set_encoding_lane(false);
-        assert_eq!(encoding_mode(), EncodingMode::Auto, "lane leaked an encoding override");
-        set_encoding_mode(prev);
-        result.unwrap();
-    }
-
-    /// The kernel-differential lane must leave the process-global kernel
-    /// mode exactly as it found it, pass or fail — a leaked ForceScalar
-    /// would silently disable the vectorized kernels for the rest of the
-    /// process.
-    #[test]
-    fn kernel_lane_restores_the_ambient_kernel_mode() {
-        let _guard = DIFF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::ForceVectorized);
-        let case = gen_case(7);
-        diff_case(&case).expect("pinned seed 7 is a clean case");
-        assert_eq!(kernel_mode(), KernelMode::ForceVectorized);
-        set_kernel_mode(prev);
+        }
     }
 
     #[test]

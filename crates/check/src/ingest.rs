@@ -105,20 +105,11 @@ fn ingest_with_loss<L: AccuracyLoss + Clone>(
     // fingerprints[thread sweep][barrier]
     let mut fingerprints: Vec<Vec<Fingerprint>> = Vec::new();
     for &threads in &THREAD_COUNTS {
-        tabula_par::set_threads(threads);
-        let result =
-            stream_one_sweep(case, &loss, oracle, &attr_refs, base, &bounds, threads, &mut report);
-        // Restore the default before propagating, so a divergence does
-        // not leak a thread override into the caller.
-        match result {
-            Ok(per_barrier) => fingerprints.push(per_barrier),
-            Err(e) => {
-                tabula_par::set_threads(0);
-                return Err(e);
-            }
-        }
+        let per_barrier = tabula_par::scoped_threads(threads, || {
+            stream_one_sweep(case, &loss, oracle, &attr_refs, base, &bounds, threads, &mut report)
+        })?;
+        fingerprints.push(per_barrier);
     }
-    tabula_par::set_threads(0);
 
     for t in 1..THREAD_COUNTS.len() {
         for (b, fp) in fingerprints[t].iter().enumerate() {

@@ -43,18 +43,26 @@
 //! * any byte-level difference between cubes built at different thread
 //!   counts;
 //! * an `EmptyDomain` answer for a query that matches raw rows;
-//! * with the snapshot lane on ([`set_snapshot_lane`], `fuzz_check
+//! * any production storage operator (filter, group-by, finest-cuboid
+//!   aggregation, rollup, semi-join) whose output differs from its
+//!   row-at-a-time reference in [`reference`], on the case's table frozen
+//!   plain and fully encoded;
+//! * with the snapshot lane on ([`Lanes::snapshot`], `fuzz_check
 //!   --snapshot`): a thawed `tabula-store` snapshot whose fingerprint,
-//!   workload answers, or re-frozen bytes differ from the original cube.
+//!   workload answers, or re-frozen bytes differ from the original cube;
+//! * with the encoding lane on ([`Lanes::encoding`], `fuzz_check
+//!   --encoding`): a cube built over the `Off`- or `Force`-encoded table
+//!   that differs from the `Auto` build.
 
 pub mod diff;
 pub mod generate;
 pub mod ingest;
 pub mod oracle;
+pub mod reference;
 
 pub use diff::{
-    diff_case, diff_sql_case, diff_with_loss, encoding_lane, set_encoding_lane, set_snapshot_lane,
-    shrink, snapshot_lane, CaseReport, Divergence, NaiveEval, Shrunk, MODES, THREAD_COUNTS,
+    diff_case, diff_sql_case, diff_with_loss, shrink, CaseReport, Divergence, Lanes, NaiveEval,
+    Shrunk, MODES, THREAD_COUNTS,
 };
 pub use generate::{gen_case, gen_statement, gen_statements, gen_where_terms, CaseSpec};
 pub use ingest::{diff_ingest_case, IngestReport, INGEST_BARRIERS};

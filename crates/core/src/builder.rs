@@ -7,11 +7,11 @@
 //! the benchmark harness share one code path per mode.
 //!
 //! The storage primitives the stages lean on — predicate filter, group-by,
-//! finest-cuboid aggregation, lattice rollup, semi-join — all run as
-//! chunked vectorized kernels over bit-packed dictionary codes when the
-//! cubed attributes' packed key fits 64 bits (see
-//! [`tabula_storage::kernel`]); the build produces byte-identical cubes in
-//! either kernel mode and at any thread count.
+//! finest-cuboid aggregation, lattice rollup, semi-join — each run as one
+//! chunked kernel over bit-packed dictionary codes (`u64` keys up to 64
+//! bits, `u128` up to 128, see [`tabula_storage::kernel`]); the build
+//! produces byte-identical cubes for any column encoding and at any
+//! thread count.
 
 use crate::cube::{BuildStats, SamplingCube};
 use crate::dryrun::dry_run;

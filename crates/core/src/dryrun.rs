@@ -5,9 +5,9 @@
 //! Because the accuracy loss is algebraic (see [`crate::loss`]), a single
 //! scan of the raw table builds the finest cuboid of per-cell loss states;
 //! every coarser cuboid is derived by merging states down the lattice.
-//! Both steps are the build's hottest loops and run vectorized when
-//! possible: the finest scan aggregates directly on bit-packed `u64` keys
-//! in [`chunk-sized`](tabula_storage::kernel::chunk_rows) batches, and the
+//! Both steps are the build's hottest loops and run vectorized: the
+//! finest scan aggregates directly on bit-packed keys in
+//! [`chunk-sized`](tabula_storage::kernel::CHUNK_ROWS) batches, and the
 //! rollup squeezes each parent's packed key down to its child's with two
 //! shifts instead of re-hashing code tuples.
 //! Each cell's loss against the global sample is then evaluated from its
@@ -100,7 +100,7 @@ pub fn dry_run<L: AccuracyLoss>(
     drop(scan_span);
     // …and the rest of the lattice is pure state merging.
     let rollup_span = span!("dry_run.rollup");
-    let states = rollup_from_finest(cols.len(), finest, &L::State::default);
+    let states = rollup_from_finest(cols.len(), finest, &L::State::default)?;
     drop(rollup_span);
 
     // Per-cuboid loss-predicate evaluation is embarrassingly parallel:

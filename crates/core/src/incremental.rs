@@ -22,8 +22,8 @@
 //! query's answer is within θ of its raw answer *on the new table*.
 //!
 //! Refresh rounds ride the same vectorized storage kernels as the initial
-//! build (the appended-row grouping in step 2 hashes bit-packed `u64`
-//! keys), and repeated materializations across rounds can reuse buffer
+//! build (the appended-row grouping in step 2 hashes bit-packed keys),
+//! and repeated materializations across rounds can reuse buffer
 //! capacity via [`Table::take_into`] /
 //! [`QueryAnswer::materialize_into`](crate::cube::QueryAnswer::materialize_into).
 

@@ -11,10 +11,9 @@
 //!   cuboid has few iceberg cells);
 //! * **group-everything** — a plain full-table group-by.
 //!
-//! Both plans ride the vectorized storage kernels when the cuboid's
-//! bit-packed key fits 64 bits: the semi-join probes a packed `u64` cell
-//! set and the group-by hashes one packed word per row (see
-//! [`tabula_storage::kernel`]), with identical results either way.
+//! Both plans ride the chunked storage kernels on bit-packed keys: the
+//! semi-join probes a packed cell set and the group-by hashes one packed
+//! word per row (see [`tabula_storage::kernel`]).
 //!
 //! Local samples are then drawn per cell with the accuracy-loss-aware
 //! greedy sampler, scheduled on the shared `tabula-par` work-stealing

@@ -102,7 +102,8 @@ fn cardinalities(table: &Table, cols: &[usize]) -> Result<Vec<usize>> {
 
 /// Load a column payload in whatever representation the snapshot holds:
 /// an `:rle` or `:for` block becomes a zero-copy encoded buffer (decoded
-/// lazily, only if a scalar path ever needs the plain rows); otherwise
+/// lazily, only if a kernel without an encoded form needs the plain
+/// rows); otherwise
 /// `plain` views the raw-words block.
 fn restore_buf<'s, T: tabula_storage::Codable>(
     snap: &'s Snapshot,
@@ -173,7 +174,8 @@ fn build_writer(cube: &SamplingCube, epoch: u64) -> Result<SnapshotWriter> {
     let cols = cube.cubed_cols();
     let cards = cardinalities(table, cols)?;
     let shifted: Vec<usize> = cards.iter().map(|&c| c + 1).collect();
-    let layout = KeyLayout::from_cardinalities(&shifted);
+    // `packed64` only when the key fits one word; `flat32` otherwise.
+    let layout = KeyLayout::from_cardinalities(&shifted).ok().filter(|l| l.total_bits() <= 64);
     let cells = cube.materialized_cells() as u64;
 
     let (key_encoding, key_bits) = match &layout {
@@ -346,9 +348,12 @@ fn restore(snap: &Snapshot) -> Result<(SamplingCube, SnapshotInfo)> {
     match meta.key_encoding.as_str() {
         ENC_PACKED => {
             let shifted: Vec<usize> = cards.iter().map(|&c| c + 1).collect();
-            let layout = KeyLayout::from_cardinalities(&shifted).ok_or_else(|| {
-                bad_block("cube:keys", "packed64 encoding but recomputed key exceeds 64 bits")
-            })?;
+            let layout = KeyLayout::from_cardinalities(&shifted)
+                .ok()
+                .filter(|l| l.total_bits() <= 64)
+                .ok_or_else(|| {
+                    bad_block("cube:keys", "packed64 encoding but recomputed key exceeds 64 bits")
+                })?;
             let bits: Vec<u32> = (0..n_attrs).map(|i| layout.attr_bits(i)).collect();
             if bits != meta.key_bits {
                 return Err(bad_block(
@@ -588,29 +593,9 @@ mod tests {
     /// runs in every cubed column — with every column frozen under `mode`.
     fn repeated_table(reps: usize, mode: tabula_storage::EncodingMode) -> Arc<Table> {
         let t = example_dcm_table();
-        let cols = (0..t.schema().fields().len())
-            .map(|i| {
-                let rep = |n: usize| (0..n).flat_map(|r| std::iter::repeat_n(r, reps));
-                let mut col = match t.column(i) {
-                    Column::Int64(b) => {
-                        Column::Int64(rep(b.len()).map(|r| b[r]).collect::<Vec<_>>().into())
-                    }
-                    Column::Float64(b) => {
-                        Column::Float64(rep(b.len()).map(|r| b[r]).collect::<Vec<_>>().into())
-                    }
-                    Column::Str { codes, dict } => Column::Str {
-                        codes: rep(codes.len()).map(|r| codes[r]).collect::<Vec<_>>().into(),
-                        dict: dict.clone(),
-                    },
-                    Column::Point(b) => {
-                        Column::Point(rep(b.len()).map(|r| b[r]).collect::<Vec<_>>().into())
-                    }
-                };
-                col.encode_for_freeze(mode);
-                col
-            })
-            .collect();
-        Arc::new(Table::from_columns(t.schema().clone(), cols).unwrap())
+        let rows: Vec<RowId> =
+            (0..t.len() as RowId).flat_map(|r| std::iter::repeat_n(r, reps)).collect();
+        Arc::new(t.take(&rows).with_encoding(mode))
     }
 
     fn cube_over(t: Arc<Table>) -> SamplingCube {
@@ -679,6 +664,63 @@ mod tests {
             assert_eq!(a.rows, c.rows);
             assert_eq!(a.provenance, c.provenance);
         }
+    }
+
+    /// A cube whose cell key needs more than one word — seven attributes
+    /// of 1024 values, 7 × 11 = 77 bits with the `*` code shifted in —
+    /// snapshots through the `flat32` route (never a packed one), and
+    /// reload plus re-freeze is byte-identical.
+    #[test]
+    fn wide_key_cube_snapshots_through_the_flat_route() {
+        use tabula_storage::{Field, TableBuilder, Value};
+        let names = ["a0", "a1", "a2", "a3", "a4", "a5", "a6"];
+        let mut fields: Vec<Field> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                Field::new(*n, if i % 2 == 0 { ColumnType::Str } else { ColumnType::Int64 })
+            })
+            .collect();
+        fields.push(Field::new("fare", ColumnType::Float64));
+        let mut b = TableBuilder::new(Schema::new(fields));
+        for row in 0..2048u32 {
+            let block = row / 2;
+            let mut values: Vec<Value> = (0..7u32)
+                .map(|i| {
+                    let code = block * (2 * i + 1) % 1024;
+                    if i % 2 == 0 {
+                        Value::Str(format!("v{code}"))
+                    } else {
+                        Value::Int64(code as i64)
+                    }
+                })
+                .collect();
+            // Three outlier blocks make a few iceberg cells per cuboid.
+            values.push(Value::Float64(if block < 3 { 100.0 } else { 10.0 }));
+            b.push_row(&values).unwrap();
+        }
+        let t = Arc::new(b.finish());
+        let fare = t.schema().index_of("fare").unwrap();
+        let cube = SamplingCubeBuilder::new(Arc::clone(&t), &names, MeanLoss::new(fare), 0.10)
+            .seed(1)
+            .mode(MaterializationMode::Tabula)
+            .build()
+            .unwrap();
+        assert!(cube.materialized_cells() > 0, "outlier blocks must be iceberg cells");
+
+        let bytes = cube.snapshot_bytes(5).unwrap();
+        let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
+        assert!(snap.has_block("cube:flat"), "a 77-bit key must take the flat32 route");
+        assert!(!snap.has_block("cube:keys"));
+
+        let (back, info) = SamplingCube::from_snapshot_bytes(bytes.clone()).unwrap();
+        assert_eq!(info.cells, cube.materialized_cells());
+        assert_eq!(back.global_sample(), cube.global_sample());
+        for (key, sid) in cube.cube_table() {
+            assert_eq!(back.query_cell(key).rows, cube.query_cell(key).rows);
+            assert_eq!(back.cube_table().find(|(k, _)| *k == key).unwrap().1, sid);
+        }
+        assert_eq!(back.snapshot_bytes(5).unwrap(), bytes);
     }
 
     #[test]

@@ -13,23 +13,23 @@ use tabula_storage::cube::CellKey;
 use tabula_storage::{RowId, Table, TableBuilder};
 
 fn build(table: &Arc<Table>, threads: usize) -> SamplingCube {
-    // The runtime override steers every Pool::global() call in the build
+    // The scoped override steers every Pool::global() call in the build
     // (finest scan, rollup, dry-run classify, group-by, semi-join,
-    // SamGraph); the builder's own knob covers the real-run pool.
-    tabula_par::set_threads(threads);
+    // SamGraph) on this test's thread only; the builder's own knob covers
+    // the real-run pool.
     let fare = table.schema().index_of("fare_amount").unwrap();
-    let cube = SamplingCubeBuilder::new(
-        Arc::clone(table),
-        &CUBED_ATTRIBUTES[..4],
-        MeanLoss::new(fare),
-        0.05,
-    )
-    .seed(13)
-    .parallelism(threads)
-    .build()
-    .expect("cube build succeeds");
-    tabula_par::set_threads(0);
-    cube
+    tabula_par::scoped_threads(threads, || {
+        SamplingCubeBuilder::new(
+            Arc::clone(table),
+            &CUBED_ATTRIBUTES[..4],
+            MeanLoss::new(fare),
+            0.05,
+        )
+        .seed(13)
+        .parallelism(threads)
+        .build()
+        .expect("cube build succeeds")
+    })
 }
 
 /// Everything observable about a cube, in a canonical order.
@@ -93,19 +93,18 @@ fn sample_dependent_selection_path_is_identical_across_thread_counts() {
     let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 6_000, seed: 41 }).generate());
     let pickup = table.schema().index_of("pickup").unwrap();
     let build_heatmap = |threads: usize| {
-        tabula_par::set_threads(threads);
-        let cube = SamplingCubeBuilder::new(
-            Arc::clone(&table),
-            &CUBED_ATTRIBUTES[..4],
-            HeatmapLoss::new(pickup, Metric::Euclidean),
-            meters_to_norm(500.0),
-        )
-        .seed(13)
-        .parallelism(threads)
-        .build()
-        .expect("heatmap cube build succeeds");
-        tabula_par::set_threads(0);
-        cube
+        tabula_par::scoped_threads(threads, || {
+            SamplingCubeBuilder::new(
+                Arc::clone(&table),
+                &CUBED_ATTRIBUTES[..4],
+                HeatmapLoss::new(pickup, Metric::Euclidean),
+                meters_to_norm(500.0),
+            )
+            .seed(13)
+            .parallelism(threads)
+            .build()
+            .expect("heatmap cube build succeeds")
+        })
     };
     let baseline = fingerprint(&build_heatmap(1));
     assert!(!baseline.cells.is_empty(), "θ must produce iceberg cells");
@@ -146,12 +145,11 @@ fn refreshed_cube_is_identical_across_thread_counts() {
     let fare = base.schema().index_of("fare_amount").unwrap();
     let refresh_at = |threads: usize| {
         let cube = build(&base, threads);
-        tabula_par::set_threads(threads);
         let config = RefreshConfig { seed: 99, parallelism: threads, ..RefreshConfig::default() };
-        let (refreshed, stats) =
+        let (refreshed, stats) = tabula_par::scoped_threads(threads, || {
             refresh(&cube, Arc::clone(&extended), &MeanLoss::new(fare), config)
-                .expect("refresh succeeds");
-        tabula_par::set_threads(0);
+                .expect("refresh succeeds")
+        });
         (fingerprint(&refreshed), stats)
     };
     let (baseline, stats) = refresh_at(1);
@@ -173,72 +171,26 @@ fn refreshed_cube_is_identical_across_thread_counts() {
     }
 }
 
-/// The chunked vectorized build kernels (bit-packed group-by keys, packed
-/// finest-cuboid aggregation, packed rollup) must be as invisible as the
-/// thread count: a cube built under `TABULA_KERNELS=scalar` is
-/// byte-identical to one built with the vectorized kernels, at any thread
-/// count — float bits included, because both kernels fold rows and merge
-/// parents in the same canonical order.
-#[test]
-fn cube_is_identical_across_kernel_modes_and_thread_counts() {
-    use tabula_storage::{set_kernel_mode, KernelMode};
-    let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 31 }).generate());
-    let prev = tabula_storage::kernel_mode();
-    set_kernel_mode(KernelMode::ForceScalar);
-    let baseline = fingerprint(&build(&table, 1));
-    assert!(!baseline.cells.is_empty());
-    for (mode, threads) in [
-        (KernelMode::ForceScalar, 8usize),
-        (KernelMode::ForceVectorized, 1),
-        (KernelMode::ForceVectorized, 8),
-        (KernelMode::Auto, 2),
-    ] {
-        set_kernel_mode(mode);
-        let got = fingerprint(&build(&table, threads));
-        assert_eq!(baseline.iceberg_cells, got.iceberg_cells, "{mode:?} x{threads}");
-        assert_eq!(baseline.global_sample, got.global_sample, "{mode:?} x{threads}");
-        assert_eq!(baseline.cells, got.cells, "cube differs under {mode:?} x{threads}");
-    }
-    set_kernel_mode(prev);
-}
-
 /// The compressed-storage invariant: the cube is a pure function of the
-/// data — not of the column encoding, the kernel family, or the thread
-/// count. Sweep `TABULA_ENCODING={off,force,auto}` ×
-/// `TABULA_KERNELS={scalar,auto}` × threads={1,4}; every build must be
-/// byte-identical to the plain scalar single-threaded baseline, float
-/// bits included. The table is regenerated under each encoding mode so
-/// the freeze path (where encoding happens) is part of the sweep.
+/// data — not of the column encoding or the thread count. Sweep the
+/// table's `Off`/`Force`/`Auto` freezes × threads={1,4}; every build must
+/// be byte-identical to the plain single-threaded baseline, float bits
+/// included.
 #[test]
-fn cube_is_identical_across_encoding_modes_kernels_and_threads() {
-    use tabula_storage::{set_encoding_mode, set_kernel_mode, EncodingMode, KernelMode};
-    let prev_enc = tabula_storage::encoding_mode();
-    let prev_kern = tabula_storage::kernel_mode();
-    set_encoding_mode(EncodingMode::Off);
-    set_kernel_mode(KernelMode::ForceScalar);
-    let baseline = {
-        let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 47 }).generate());
-        fingerprint(&build(&table, 1))
-    };
+fn cube_is_identical_across_encodings_and_threads() {
+    use tabula_storage::EncodingMode;
+    let table = TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 47 }).generate();
+    let baseline = fingerprint(&build(&Arc::new(table.with_encoding(EncodingMode::Off)), 1));
     assert!(!baseline.cells.is_empty());
     for enc in [EncodingMode::Off, EncodingMode::Force, EncodingMode::Auto] {
-        set_encoding_mode(enc);
-        let table = Arc::new(TaxiGenerator::new(TaxiConfig { rows: 8_000, seed: 47 }).generate());
-        for (kern, threads) in
-            [(KernelMode::ForceScalar, 4usize), (KernelMode::Auto, 1), (KernelMode::Auto, 4)]
-        {
-            set_kernel_mode(kern);
-            let got = fingerprint(&build(&table, threads));
-            assert_eq!(baseline.iceberg_cells, got.iceberg_cells, "{enc:?} {kern:?} x{threads}");
-            assert_eq!(baseline.global_sample, got.global_sample, "{enc:?} {kern:?} x{threads}");
-            assert_eq!(
-                baseline.cells, got.cells,
-                "cube differs under encoding={enc:?} kernels={kern:?} x{threads}"
-            );
+        let encoded = Arc::new(table.with_encoding(enc));
+        for threads in [1usize, 4] {
+            let got = fingerprint(&build(&encoded, threads));
+            assert_eq!(baseline.iceberg_cells, got.iceberg_cells, "{enc:?} x{threads}");
+            assert_eq!(baseline.global_sample, got.global_sample, "{enc:?} x{threads}");
+            assert_eq!(baseline.cells, got.cells, "cube differs under encoding={enc:?} x{threads}");
         }
     }
-    set_kernel_mode(prev_kern);
-    set_encoding_mode(prev_enc);
 }
 
 #[test]

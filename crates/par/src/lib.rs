@@ -29,9 +29,11 @@
 //!
 //! The process-wide thread count comes from the `TABULA_THREADS`
 //! environment variable (`0` or unset = `available_parallelism`), read
-//! once at first use and overridable at runtime with [`set_threads`] —
-//! the benchmark harness uses that to measure serial-vs-parallel speedup
-//! inside one process.
+//! once at first use. [`scoped_threads`] overrides the count for one
+//! closure on the calling thread only (and the pool workers it spawns) —
+//! the benchmark harness uses it to measure serial-vs-parallel speedup
+//! inside one process, and concurrent callers such as tests sweeping
+//! thread counts in parallel cannot reset each other's setting.
 //!
 //! ## Instrumentation
 //!
@@ -43,6 +45,7 @@
 //!
 //! [`SumCount`-style]: https://en.wikipedia.org/wiki/Floating-point_arithmetic#Accuracy_problems
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,8 +57,11 @@ use tabula_obs as obs;
 /// big enough to amortize scheduling, small enough to load-balance.
 pub const DEFAULT_MORSEL_ROWS: usize = 1 << 16;
 
-/// Runtime override of the thread count (0 = fall back to env/auto).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Per-thread override set by [`scoped_threads`] (0 = none),
+    /// inherited by pool workers.
+    static SCOPED_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Thread count resolved from the `TABULA_THREADS` environment variable,
 /// cached after the first read (usize::MAX = not yet read).
@@ -75,12 +81,12 @@ fn auto_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// The effective worker-thread count: runtime override, else
+/// The effective worker-thread count: scoped override, else
 /// `TABULA_THREADS`, else `available_parallelism`.
 pub fn threads() -> usize {
-    let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if o != 0 {
-        return o;
+    let scoped = SCOPED_OVERRIDE.with(Cell::get);
+    if scoped != 0 {
+        return scoped;
     }
     match env_threads() {
         0 => auto_threads(),
@@ -88,11 +94,20 @@ pub fn threads() -> usize {
     }
 }
 
-/// Override the process-wide thread count at runtime (`0` = back to the
-/// `TABULA_THREADS` / auto default). Results are unaffected by
+/// Run `f` with the thread count overridden to `n` (`0` = no override)
+/// on this thread and in every pool worker it spawns, restoring the
+/// previous setting afterwards, also on panic. Other threads never see
+/// it, so concurrent sweeps are isolated. Results are unaffected by
 /// construction — only wall time changes.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::Relaxed);
+pub fn scoped_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED_OVERRIDE.with(|c| c.replace(n)));
+    f()
 }
 
 /// Handle on the parallel execution layer: a thread count plus the obs
@@ -167,6 +182,9 @@ impl Pool {
             })
             .collect();
 
+        // Workers inherit the caller's scoped override, so nested
+        // `Pool::global()` calls see the thread count the caller sees.
+        let scoped = SCOPED_OVERRIDE.with(Cell::get);
         let produced: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -177,6 +195,7 @@ impl Pool {
                     let morsel_ns = &morsel_ns;
                     let queue_depth = &queue_depth;
                     scope.spawn(move || {
+                        SCOPED_OVERRIDE.with(|c| c.set(scoped));
                         let mut local: Vec<(usize, R)> = Vec::new();
                         loop {
                             // Own deque first (front), then steal (back).
@@ -353,12 +372,27 @@ mod tests {
 
     #[test]
     fn thread_knobs_resolve() {
-        set_threads(3);
-        assert_eq!(threads(), 3);
-        assert_eq!(Pool::global().threads(), 3);
-        set_threads(0);
+        assert_eq!(scoped_threads(3, threads), 3);
+        assert_eq!(scoped_threads(3, || Pool::global().threads()), 3);
+        assert!(scoped_threads(0, threads) >= 1);
         assert!(threads() >= 1);
         assert!(Pool::with_threads(0).threads() >= 1);
+    }
+
+    #[test]
+    fn scoped_threads_is_per_thread_and_inherited_by_workers() {
+        let outer = threads();
+        let (inner, seen_by_workers) = scoped_threads(outer + 5, || {
+            let other = std::thread::spawn(threads).join().unwrap();
+            assert_eq!(other, outer, "a scoped override must not leak to other threads");
+            (threads(), Pool::with_threads(3).run(6, |_| threads()))
+        });
+        assert_eq!(inner, outer + 5);
+        assert!(seen_by_workers.iter().all(|&t| t == outer + 5), "{seen_by_workers:?}");
+        assert_eq!(threads(), outer);
+        let caught = std::panic::catch_unwind(|| scoped_threads(outer + 5, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(threads(), outer, "the override is restored on panic");
     }
 
     #[test]

@@ -490,8 +490,8 @@ impl Session {
                     .ok_or(SqlError::Unknown { kind: "table", name: table.clone() })?;
                 let pred = predicate_of(conditions);
                 let (rows, stats) = scan_traced(&pred, t, &mut trace)?;
-                // Surface which filter kernel ran (vectorized chunked vs
-                // row-at-a-time scalar) in the answer line.
+                // Surface which filter kernel ran (plain chunked, RLE or
+                // FOR pushdown) in the answer line.
                 (rows.len(), format!("Scan[{}]", stats.kernel.name()))
             }
             // The parser only wraps SELECTs, but a hand-built AST could

@@ -70,8 +70,8 @@ impl SumCount {
 
     /// Account a whole chunk of values in slice order. Accumulation is a
     /// strict left-to-right fold — bit-identical to calling
-    /// [`add`](Self::add) per element, so chunked kernels and the scalar
-    /// path produce the same float bits.
+    /// [`add`](Self::add) per element, so chunked kernels and the
+    /// row-at-a-time references produce the same float bits.
     #[inline]
     pub fn add_slice(&mut self, values: &[f64]) {
         for &v in values {

@@ -246,13 +246,28 @@ impl Column {
     /// [`crate::encoding`]): applied by `TableBuilder::finish`, a no-op
     /// for already-encoded payloads and for columns the per-column
     /// chooser leaves plain. `Point` columns never encode.
-    pub fn encode_for_freeze(&mut self, mode: EncodingMode) {
+    pub(crate) fn encode_for_freeze(&mut self, mode: EncodingMode) {
         match self {
             Column::Int64(v) => v.encode_in_place(mode),
             Column::Float64(v) => v.encode_in_place(mode),
             Column::Str { codes, .. } => codes.encode_in_place(mode),
             Column::Point(_) => {}
         }
+    }
+
+    /// This column's rows decoded to plain and re-frozen under `mode`
+    /// (see [`Table::with_encoding`](crate::Table::with_encoding)).
+    pub(crate) fn with_encoding(&self, mode: EncodingMode) -> Column {
+        let mut col = match self {
+            Column::Int64(v) => Column::Int64(v.to_vec().into()),
+            Column::Float64(v) => Column::Float64(v.to_vec().into()),
+            Column::Str { codes, dict } => {
+                Column::Str { codes: codes.to_vec().into(), dict: dict.clone() }
+            }
+            Column::Point(v) => Column::Point(v.to_vec().into()),
+        };
+        col.encode_for_freeze(mode);
+        col
     }
 
     /// Physical payload bytes a sequential scan of this column touches

@@ -18,22 +18,23 @@
 //! all cuboids of one arity derive from their (already finished) parents
 //! in parallel. Results are byte-identical for any `TABULA_THREADS`.
 //!
-//! Both halves are **vectorized** (see [`crate::kernel`]): when the
-//! bit-packed key of the cubed attributes fits 64 bits (`Σ ⌈log₂ cᵢ⌉ ≤ 64`,
-//! true for any realistic dashboard cube), the scan aggregates chunk-wise
-//! directly on packed `u64` code buffers — probe a slot per key, then fold
-//! rows into a dense state vector — and the rollup squeezes the removed
-//! attribute's bit field out of each parent key without re-decoding.
-//! Every derivation scans its parent in ascending-key order (for packed
-//! keys that *is* lexicographic order of the code tuples), so per-cell
-//! merge sequences — and therefore floating-point bits — depend only on
-//! cube content, never on hash-map layout, kernel mode, or thread count.
+//! Both halves are **vectorized** (see [`crate::kernel`]) on bit-packed
+//! keys — `u64` when `Σ ⌈log₂ cᵢ⌉ ≤ 64` (any realistic dashboard cube),
+//! `u128` up to 128 bits, a typed error beyond: the scan aggregates
+//! chunk-wise directly on packed code buffers — probe a slot per key, then
+//! fold rows into a dense state vector — and the rollup squeezes the
+//! removed attribute's bit field out of each parent key without
+//! re-decoding. Every derivation scans its parent in ascending-key order
+//! (for packed keys that *is* lexicographic order of the code tuples), so
+//! per-cell merge sequences — and therefore floating-point bits — depend
+//! only on cube content, never on hash-map layout, key width, or thread
+//! count.
 
 use crate::agg::AggState;
 use crate::encoding::RunsView;
 use crate::fx::FxHashMap;
-use crate::kernel;
-use crate::packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+use crate::kernel::CHUNK_ROWS;
+use crate::packed::{KeyLayout, PackedKey, PackedKeyBuf};
 use crate::table::{Cat, RowId, Table};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -315,76 +316,54 @@ where
     let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
     let started = std::time::Instant::now();
     let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-    let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
-    // Run-aligned scan: only when every grouping column exposes RLE runs
-    // — checked *before* `codes()`, which would force a decode.
-    let run_views: Option<Vec<RunsView<'_, u32>>> = cats.iter().map(|c| c.runs()).collect();
-    let metrics = tabula_obs::global();
-    let out = match (&layout, run_views) {
-        (Some(layout), Some(runs)) if !runs.is_empty() => {
-            metrics.counter("cube.kernel.runs").inc();
-            finest_runs(table, layout, &runs, &make, &fold)
-        }
-        (Some(layout), _) => {
-            let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-            metrics.counter("cube.kernel.vectorized").inc();
-            finest_vectorized(table, layout, &code_slices, &make, &fold)
-        }
-        (None, _) => {
-            let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-            metrics.counter("cube.kernel.scalar").inc();
-            finest_scalar(table, cols.len(), &code_slices, &make, &fold)
-        }
+    let layout = KeyLayout::from_cardinalities(&cards)?;
+    let out = if layout.total_bits() <= 64 {
+        finest_packed::<u64, S, M, F>(table, &layout, &cats, &make, &fold)
+    } else {
+        finest_packed::<u128, S, M, F>(table, &layout, &cats, &make, &fold)
     };
+    let metrics = tabula_obs::global();
     metrics.counter("cube.scan_rows").add(table.len() as u64);
     metrics.counter("cube.kernel_ns").add(started.elapsed().as_nanos() as u64);
     Ok(out)
 }
 
-/// Row-at-a-time reference scan: per-morsel slice-keyed hash aggregation.
-fn finest_scalar<S, M, F>(
+/// The finest scan on `K` keys: run-aligned when every grouping column
+/// exposes RLE runs — checked *before* `codes()`, which would force a
+/// decode — chunked otherwise.
+fn finest_packed<K, S, M, F>(
     table: &Table,
-    width: usize,
-    code_slices: &[&[u32]],
+    layout: &KeyLayout,
+    cats: &[Cat<'_>],
     make: &M,
     fold: &F,
 ) -> FxHashMap<Vec<u32>, S>
 where
+    K: PackedKey,
     S: AggState,
     M: Fn() -> S + Sync,
     F: Fn(&mut S, RowId) + Sync,
 {
-    let pool = Pool::global();
-    let partials = pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut groups: FxHashMap<Vec<u32>, S> = FxHashMap::default();
-        let mut packed = PackedCodes::new(width);
-        packed.fill_range(code_slices, range.clone());
-        for (i, row) in range.enumerate() {
-            let key = packed.key(i);
-            match groups.get_mut(key) {
-                Some(s) => fold(s, row as RowId),
-                None => {
-                    let mut s = make();
-                    fold(&mut s, row as RowId);
-                    groups.insert(key.to_vec(), s);
-                }
-            }
-        }
-        groups
-    });
-    merge_partial_states(partials)
+    let metrics = tabula_obs::global();
+    let run_views: Option<Vec<RunsView<'_, u32>>> = cats.iter().map(|c| c.runs()).collect();
+    if let Some(runs) = run_views.filter(|r| !r.is_empty()) {
+        metrics.counter("cube.kernel.runs").inc();
+        return finest_runs::<K, S, M, F>(table, layout, &runs, make, fold);
+    }
+    let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
+    metrics.counter("cube.kernel.vectorized").inc();
+    finest_vectorized::<K, S, M, F>(table, layout, &code_slices, make, fold)
 }
 
-/// Chunked scan on bit-packed `u64` keys.
+/// Chunked scan on bit-packed keys.
 ///
 /// Each chunk runs in two passes: a *probe* pass maps the chunk's packed
 /// keys to dense slot indices (inserting new slots in first-seen order),
 /// then a *fold* pass updates the slot states in row order — the
 /// accumulators advance per-chunk, not per-row-with-hash-lookup. Per-key
-/// fold order (ascending rows within a morsel), morsel merge order, and
-/// final first-seen insertion order are all identical to
-/// [`finest_scalar`], so the two kernels produce byte-identical maps.
-fn finest_vectorized<S, M, F>(
+/// fold order is ascending rows within a morsel, morsels merge in
+/// ascending order, and the output inserts keys in first-seen order.
+fn finest_vectorized<K, S, M, F>(
     table: &Table,
     layout: &KeyLayout,
     code_slices: &[&[u32]],
@@ -392,22 +371,22 @@ fn finest_vectorized<S, M, F>(
     fold: &F,
 ) -> FxHashMap<Vec<u32>, S>
 where
+    K: PackedKey,
     S: AggState,
     M: Fn() -> S + Sync,
     F: Fn(&mut S, RowId) + Sync,
 {
-    let chunk = kernel::chunk_rows();
     let pool = Pool::global();
-    let partials: Vec<(Vec<u64>, Vec<S>)> =
+    let partials: Vec<(Vec<K>, Vec<S>)> =
         pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut keys: Vec<u64> = Vec::new();
+            let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+            let mut keys: Vec<K> = Vec::new();
             let mut states: Vec<S> = Vec::new();
-            let mut packed = PackedKeyBuf::new();
-            let mut slot_ix: Vec<u32> = Vec::with_capacity(chunk);
+            let mut packed = PackedKeyBuf::<K>::new();
+            let mut slot_ix: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
             let mut start = range.start;
             while start < range.end {
-                let end = range.end.min(start + chunk);
+                let end = range.end.min(start + CHUNK_ROWS);
                 packed.fill_range(layout, code_slices, start..end);
                 slot_ix.clear();
                 for &k in packed.keys() {
@@ -439,9 +418,9 @@ where
 /// one slot probe per *segment* instead of per row. Rows still fold one
 /// at a time in ascending order (a per-run shortcut would change float
 /// bits), so per-state fold sequences, first-seen slot order, and the
-/// morsel merge are all identical to [`finest_vectorized`] /
-/// [`finest_scalar`]: the three kernels produce byte-identical maps.
-fn finest_runs<S, M, F>(
+/// morsel merge are all identical to [`finest_vectorized`]: the two
+/// kernels produce byte-identical maps.
+fn finest_runs<K, S, M, F>(
     table: &Table,
     layout: &KeyLayout,
     runs: &[RunsView<'_, u32>],
@@ -449,15 +428,16 @@ fn finest_runs<S, M, F>(
     fold: &F,
 ) -> FxHashMap<Vec<u32>, S>
 where
+    K: PackedKey,
     S: AggState,
     M: Fn() -> S + Sync,
     F: Fn(&mut S, RowId) + Sync,
 {
     let pool = Pool::global();
-    let partials: Vec<(Vec<u64>, Vec<S>)> =
+    let partials: Vec<(Vec<K>, Vec<S>)> =
         pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut keys: Vec<u64> = Vec::new();
+            let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+            let mut keys: Vec<K> = Vec::new();
             let mut states: Vec<S> = Vec::new();
             // Per-column cursor at the run containing the morsel start.
             let mut cursors: Vec<usize> = runs
@@ -472,7 +452,7 @@ where
                     scratch[ci] = rv.values[cursors[ci]];
                     seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
                 }
-                let k = layout.encode(&scratch);
+                let k: K = layout.encode(&scratch);
                 let slot = match slots.get(&k) {
                     Some(&s) => s,
                     None => {
@@ -501,12 +481,12 @@ where
 
 /// Slot-level ordered merge in ascending morsel order, then one decode at
 /// the end — the scan itself never touches `Vec<u32>` keys.
-fn merge_packed_partials<S: AggState>(
+fn merge_packed_partials<K: PackedKey, S: AggState>(
     layout: &KeyLayout,
-    partials: Vec<(Vec<u64>, Vec<S>)>,
+    partials: Vec<(Vec<K>, Vec<S>)>,
 ) -> FxHashMap<Vec<u32>, S> {
-    let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut keys: Vec<u64> = Vec::new();
+    let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+    let mut keys: Vec<K> = Vec::new();
     let mut states: Vec<S> = Vec::new();
     for (pkeys, pstates) in partials {
         for (k, s) in pkeys.into_iter().zip(pstates) {
@@ -528,29 +508,6 @@ fn merge_packed_partials<S: AggState>(
     out
 }
 
-/// Merge per-morsel partial state maps in morsel order. Insertion order of
-/// the output (first occurrence across the ordered morsel sequence) and
-/// per-key merge order are both deterministic.
-fn merge_partial_states<S: AggState>(
-    partials: Vec<FxHashMap<Vec<u32>, S>>,
-) -> FxHashMap<Vec<u32>, S> {
-    let mut iter = partials.into_iter();
-    let Some(mut out) = iter.next() else {
-        return FxHashMap::default();
-    };
-    for partial in iter {
-        for (key, state) in partial {
-            match out.get_mut(&key) {
-                Some(s) => s.merge(&state),
-                None => {
-                    out.insert(key, state);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Compute every cuboid of the cube by algebraic rollup: one raw scan for
 /// the finest cuboid, then each coarser cuboid derived by merging an
 /// already-computed immediate parent.
@@ -567,7 +524,7 @@ where
 {
     let n = cols.len();
     let finest = finest_cuboid(table, cols, &make, fold)?;
-    Ok(rollup_from_finest(n, finest, &make))
+    rollup_from_finest(n, finest, &make)
 }
 
 /// Position, within the parent's compact key, of the attribute rolled
@@ -586,14 +543,19 @@ fn removed_index(parent: CuboidMask, mask: CuboidMask) -> usize {
 /// single parent by one sequential pass over the parent's cells in
 /// **ascending lexicographic key order** — a canonical order, so per-cell
 /// merge sequences (and their float bits) are a function of cube content
-/// alone: independent of thread count, hash-map layout, and kernel mode.
+/// alone: independent of thread count, hash-map layout, and key width.
 ///
-/// When the bit-packed key of the observed per-position cardinalities fits
-/// 64 bits, the whole lattice is rolled up on packed `u64` keys: each
-/// parent key maps to its child key by [`KeyLayout::squeeze`] (two shifts
-/// and a mask — no decode), and sorting packed entries by `u64` *is* the
-/// lexicographic order the scalar path sorts by.
-pub fn rollup_from_finest<S, M>(n: usize, finest: FxHashMap<Vec<u32>, S>, make: &M) -> CubeResult<S>
+/// The lattice is rolled up on packed keys sized by the observed
+/// per-position cardinalities: each parent key maps to its child key by
+/// [`KeyLayout::squeeze`] (two shifts and a mask — no decode), and sorting
+/// packed entries *is* sorting their code tuples lexicographically.
+/// Fails with [`crate::StorageError::KeyTooWide`] when the observed codes
+/// need more than [`crate::MAX_KEY_BITS`] bits.
+pub fn rollup_from_finest<S, M>(
+    n: usize,
+    finest: FxHashMap<Vec<u32>, S>,
+    make: &M,
+) -> Result<CubeResult<S>>
 where
     S: AggState,
     M: Fn() -> S + Sync,
@@ -608,41 +570,43 @@ where
             cards[i] = cards[i].max(c as usize + 1);
         }
     }
-    let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
-    match layout {
-        Some(layout) => rollup_packed(n, entries, layout, make),
-        None => rollup_scalar(n, entries, make),
-    }
+    let layout = KeyLayout::from_cardinalities(&cards)?;
+    Ok(if layout.total_bits() <= 64 {
+        rollup_packed::<u64, S, M>(n, entries, layout, make)
+    } else {
+        rollup_packed::<u128, S, M>(n, entries, layout, make)
+    })
 }
 
-/// Lattice rollup on bit-packed `u64` keys.
-fn rollup_packed<S, M>(
+/// Lattice rollup on bit-packed `K` keys.
+fn rollup_packed<K, S, M>(
     n: usize,
     entries: Vec<(Vec<u32>, S)>,
     layout: KeyLayout,
     make: &M,
 ) -> CubeResult<S>
 where
+    K: PackedKey,
     S: AggState,
     M: Fn() -> S + Sync,
 {
-    let finest: Vec<(u64, S)> =
+    let finest: Vec<(K, S)> =
         entries.into_iter().map(|(key, s)| (layout.encode(&key), s)).collect();
-    // Lex-sorted tuples pack to ascending u64 keys (attr 0 sits highest).
+    // Lex-sorted tuples pack to ascending keys (attr 0 sits highest).
     debug_assert!(finest.windows(2).all(|w| w[0].0 < w[1].0));
-    let mut packed: FxHashMap<CuboidMask, (KeyLayout, Vec<(u64, S)>)> = FxHashMap::default();
+    let mut packed: FxHashMap<CuboidMask, (KeyLayout, Vec<(K, S)>)> = FxHashMap::default();
     packed.insert(CuboidMask::finest(n), (layout, finest));
     let pool = Pool::global();
     for arity in (0..n as u32).rev() {
         let masks: Vec<CuboidMask> =
             (0..(1u64 << n) as u32).map(CuboidMask).filter(|m| m.arity() == arity).collect();
-        let derived: Vec<(KeyLayout, Vec<(u64, S)>)> = pool.par_map(&masks, |&mask| {
+        let derived: Vec<(KeyLayout, Vec<(K, S)>)> = pool.par_map(&masks, |&mask| {
             let parent = mask.a_parent(n).expect("every non-finest cuboid has a parent");
             let removed_idx = removed_index(parent, mask);
             let (playout, pentries) = &packed[&parent];
             let clayout = playout.without_attr(removed_idx);
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut out: Vec<(u64, S)> = Vec::new();
+            let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+            let mut out: Vec<(K, S)> = Vec::new();
             for (pkey, state) in pentries {
                 let ckey = playout.squeeze(*pkey, removed_idx);
                 match slots.get(&ckey) {
@@ -668,60 +632,6 @@ where
         groups.reserve(es.len());
         for (k, s) in es {
             groups.insert(l.decode(k), s);
-        }
-        cuboids.insert(mask, groups);
-    }
-    CubeResult { n, cuboids }
-}
-
-/// Reference rollup on compact `Vec<u32>` keys (packed key over 64 bits,
-/// or `TABULA_KERNELS=scalar`). Scans parents in the same ascending
-/// lexicographic order as [`rollup_packed`], so both produce identical
-/// states.
-fn rollup_scalar<S, M>(n: usize, entries: Vec<(Vec<u32>, S)>, make: &M) -> CubeResult<S>
-where
-    S: AggState,
-    M: Fn() -> S + Sync,
-{
-    let mut sorted: FxHashMap<CuboidMask, Vec<(Vec<u32>, S)>> = FxHashMap::default();
-    sorted.insert(CuboidMask::finest(n), entries);
-    let pool = Pool::global();
-    for arity in (0..n as u32).rev() {
-        let masks: Vec<CuboidMask> =
-            (0..(1u64 << n) as u32).map(CuboidMask).filter(|m| m.arity() == arity).collect();
-        let derived: Vec<Vec<(Vec<u32>, S)>> = pool.par_map(&masks, |&mask| {
-            let parent = mask.a_parent(n).expect("every non-finest cuboid has a parent");
-            let removed_idx = removed_index(parent, mask);
-            let pentries = &sorted[&parent];
-            let mut slots: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-            let mut out: Vec<(Vec<u32>, S)> = Vec::new();
-            for (pkey, state) in pentries {
-                let mut ckey = Vec::with_capacity(pkey.len() - 1);
-                ckey.extend_from_slice(&pkey[..removed_idx]);
-                ckey.extend_from_slice(&pkey[removed_idx + 1..]);
-                match slots.get(&ckey) {
-                    Some(&slot) => out[slot as usize].1.merge(state),
-                    None => {
-                        slots.insert(ckey.clone(), out.len() as u32);
-                        let mut s = make();
-                        s.merge(state);
-                        out.push((ckey, s));
-                    }
-                }
-            }
-            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            out
-        });
-        for (mask, d) in masks.into_iter().zip(derived) {
-            sorted.insert(mask, d);
-        }
-    }
-    let mut cuboids: FxHashMap<CuboidMask, FxHashMap<Vec<u32>, S>> = FxHashMap::default();
-    for (mask, es) in sorted {
-        let mut groups: FxHashMap<Vec<u32>, S> = FxHashMap::default();
-        groups.reserve(es.len());
-        for (k, s) in es {
-            groups.insert(k, s);
         }
         cuboids.insert(mask, groups);
     }
@@ -858,10 +768,9 @@ mod tests {
     }
 
     /// The run-aligned finest scan must be *byte-identical* (float bits
-    /// included) to the vectorized and scalar kernels: folds happen per
-    /// row in ascending order in all three, so per-state addition
-    /// sequences match exactly. Kernels are invoked directly — no global
-    /// mode is touched.
+    /// included) to the chunked kernel over decoded codes: folds happen
+    /// per row in ascending order in both, so per-state addition sequences
+    /// match exactly — at either key width.
     #[test]
     fn run_aligned_finest_scan_is_byte_identical() {
         let schema = Schema::new(vec![
@@ -879,28 +788,25 @@ mod tests {
             ])
             .unwrap();
         }
-        let t = b.finish();
-        let mut cols: Vec<crate::column::Column> = Vec::new();
-        for i in 0..3 {
-            let mut c = t.column(i).clone();
-            c.encode_for_freeze(crate::encoding::EncodingMode::Force);
-            cols.push(c);
-        }
-        let t = Table::from_columns(t.schema().clone(), cols).unwrap();
+        let t = b.finish().with_encoding(crate::EncodingMode::Force);
         let fares: Vec<f64> = t.column(2).as_f64_slice().unwrap().to_vec();
         let fold = move |s: &mut SumCount, row: RowId| s.add(fares[row as usize]);
         let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
         let runs: Vec<RunsView<'_, u32>> = cats.iter().map(|c| c.runs().unwrap()).collect();
         let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
         let layout = KeyLayout::from_cardinalities(&cards).unwrap();
-        let aligned = finest_runs(&t, &layout, &runs, &SumCount::default, &fold);
+        let make = SumCount::default;
+        let aligned = finest_runs::<u64, _, _, _>(&t, &layout, &runs, &make, &fold);
         let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-        let vectorized = finest_vectorized(&t, &layout, &code_slices, &SumCount::default, &fold);
-        let scalar = finest_scalar(&t, 2, &code_slices, &SumCount::default, &fold);
-        for reference in [&vectorized, &scalar] {
-            assert_eq!(aligned.len(), reference.len());
+        let others = [
+            finest_vectorized::<u64, _, _, _>(&t, &layout, &code_slices, &make, &fold),
+            finest_runs::<u128, _, _, _>(&t, &layout, &runs, &make, &fold),
+            finest_vectorized::<u128, _, _, _>(&t, &layout, &code_slices, &make, &fold),
+        ];
+        for other in &others {
+            assert_eq!(aligned.len(), other.len());
             for (k, s) in &aligned {
-                let r = &reference[k];
+                let r = &other[k];
                 assert_eq!(s.count, r.count, "key {k:?}");
                 assert_eq!(s.sum.to_bits(), r.sum.to_bits(), "key {k:?}");
             }

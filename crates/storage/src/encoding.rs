@@ -15,72 +15,37 @@
 //!   ordinal transform is bijective per type ([`Codable`]), so decode
 //!   reproduces the source bits exactly.
 //!
-//! The selection is per-column at freeze time ([`choose`]), steered by
-//! the `TABULA_ENCODING` knob (`auto` / `off` / `force`): `auto` encodes
-//! only when a deterministic sampled estimator predicts a real byte win,
-//! `force` encodes everything encodable (the fuzz lanes use it to reach
-//! the edge cases), `off` keeps every column plain. Whatever the mode,
+//! The selection is per-column at freeze time ([`choose`]) under an
+//! [`EncodingMode`]. `TableBuilder::finish` always freezes under `Auto`,
+//! which encodes only when a deterministic sampled estimator predicts a
+//! real byte win; `Table::with_encoding` re-freezes a table's rows under
+//! an explicit mode — `Force` encodes everything encodable (the fuzz lanes
+//! use it to reach the edge cases), `Off` keeps every column plain (the
+//! reference the encoded kernels are checked against). Whatever the mode,
 //! results are byte-identical — encoding only changes which kernel path
 //! runs, never what it produces; the differential lanes in tabula-check
-//! enforce that the same way they pin `TABULA_KERNELS=scalar`.
+//! enforce that.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 use crate::shared::ColumnBuf;
 use crate::types::Point;
 
-/// Whether freshly frozen columns get encoded, mirroring
-/// [`KernelMode`](crate::KernelMode)'s shape.
+/// How a freeze encodes columns — a property of each table, chosen when
+/// it is frozen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodingMode {
     /// Encode a column only when the sampled estimator predicts the
     /// encoded payload at ≤ [`AUTO_BYTE_FRACTION`] of the plain bytes.
     Auto,
     /// Never encode; every column stays on the plain path. This is the
-    /// differential reference lane (`TABULA_ENCODING=off`).
+    /// differential reference lane.
     Off,
     /// Encode every encodable column with whichever of RLE/FOR is
     /// smaller, even when neither wins over plain — maximizes coverage
     /// of the encoded kernels in the fuzz lanes.
     Force,
-}
-
-const MODE_UNSET: u8 = u8::MAX;
-static ENCODING_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_from_env() -> EncodingMode {
-    match std::env::var("TABULA_ENCODING").ok().as_deref() {
-        Some("off") => EncodingMode::Off,
-        Some("force") => EncodingMode::Force,
-        _ => EncodingMode::Auto,
-    }
-}
-
-/// The active [`EncodingMode`]: the last [`set_encoding_mode`] override,
-/// else the `TABULA_ENCODING` env knob (`auto` / `off` / `force`).
-pub fn encoding_mode() -> EncodingMode {
-    match ENCODING_MODE.load(Ordering::Relaxed) {
-        0 => EncodingMode::Auto,
-        1 => EncodingMode::Off,
-        2 => EncodingMode::Force,
-        _ => {
-            let m = mode_from_env();
-            set_encoding_mode(m);
-            m
-        }
-    }
-}
-
-/// Override the encoding mode at runtime (used by the differential
-/// harness and the `scan_compressed` micro-benchmark to pin one path).
-pub fn set_encoding_mode(mode: EncodingMode) {
-    let v = match mode {
-        EncodingMode::Auto => 0,
-        EncodingMode::Off => 1,
-        EncodingMode::Force => 2,
-    };
-    ENCODING_MODE.store(v, Ordering::Relaxed);
 }
 
 /// Element types that can round-trip through a `u64` ordinal. The
@@ -472,14 +437,17 @@ fn estimate_runs<T: Codable>(data: &[T]) -> usize {
     1 + (boundaries * data.len()).div_ceil(pairs.max(1))
 }
 
-/// Process-wide count of encoded-column decodes (cache fills), for the
-/// decode-exactly-once tests.
-static DECODE_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of encoded-column decodes (cache fills), for the
+    /// decode-exactly-once tests.
+    static DECODE_COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
-/// How many encoded columns have materialized their decode cache so far
-/// in this process.
+/// How many encoded columns the calling thread has materialized a decode
+/// cache for so far. Per thread, so tests running in parallel never see
+/// each other's decodes.
 pub fn decode_count() -> u64 {
-    DECODE_COUNT.load(Ordering::Relaxed)
+    DECODE_COUNT.with(Cell::get)
 }
 
 struct EncodedInner<T: Codable> {
@@ -521,7 +489,7 @@ impl<T: Codable> EncodedBuf<T> {
     #[inline]
     pub fn decoded(&self) -> &[T] {
         self.inner.decoded.get_or_init(|| {
-            DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
+            DECODE_COUNT.with(|n| n.set(n.get() + 1));
             self.inner.enc.decode()
         })
     }
@@ -654,16 +622,6 @@ mod tests {
         assert_eq!(clone.decoded(), &data[..]);
         assert_eq!(buf.decoded().as_ptr(), clone.decoded().as_ptr());
         assert_eq!(decode_count() - before, 1, "clones must share one decode");
-    }
-
-    #[test]
-    fn mode_round_trips() {
-        let prev = encoding_mode();
-        set_encoding_mode(EncodingMode::Force);
-        assert_eq!(encoding_mode(), EncodingMode::Force);
-        set_encoding_mode(EncodingMode::Off);
-        assert_eq!(encoding_mode(), EncodingMode::Off);
-        set_encoding_mode(prev);
     }
 
     proptest! {

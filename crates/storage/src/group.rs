@@ -5,18 +5,17 @@
 //! group contents, their row order, and map insertion order are all
 //! independent of `TABULA_THREADS`.
 //!
-//! When the bit-packed key fits 64 bits (see [`crate::packed::KeyLayout`])
-//! the kernel is vectorized: chunks of [`crate::kernel::chunk_rows`] rows
-//! pack into a `u64` key buffer, probe a slot map, and append members to
-//! dense per-slot vectors — one word hashed per row, no slice keys, no
-//! per-group key allocation until the final decode. The scalar slice-key
-//! path remains as the fallback (and the `TABULA_KERNELS=scalar`
-//! reference); both produce identical results.
+//! The kernel works on bit-packed keys (see [`crate::packed::KeyLayout`]),
+//! `u64` or `u128` by the layout's width: chunks of
+//! [`crate::kernel::CHUNK_ROWS`] rows pack into a key buffer, probe a slot
+//! map, and append members to dense per-slot vectors — one word hashed
+//! per row, no slice keys, no per-group key allocation until the final
+//! decode. Full-table scans over RLE columns group whole runs at a time.
 
 use crate::encoding::RunsView;
 use crate::fx::FxHashMap;
-use crate::kernel;
-use crate::packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+use crate::kernel::CHUNK_ROWS;
+use crate::packed::{KeyLayout, PackedKey, PackedKeyBuf};
 use crate::table::{Cat, RowId, Table};
 use crate::Result;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
@@ -84,25 +83,32 @@ pub fn group_rows(table: &Table, cols: &[usize], rows: &[RowId]) -> Result<Group
 fn group_impl(table: &Table, cols: &[usize], src: RowSrc<'_>) -> Result<GroupedRows> {
     let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
     let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-    let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
-    // Run-aligned grouping: full-table scans where every grouping column
-    // exposes RLE runs — checked *before* `codes()`, which would force a
-    // decode of an encoded column.
-    if let (Some(layout), RowSrc::All(n)) = (&layout, &src) {
+    let layout = KeyLayout::from_cardinalities(&cards)?;
+    let groups = if layout.total_bits() <= 64 {
+        group_packed::<u64>(&layout, &cats, &src)
+    } else {
+        group_packed::<u128>(&layout, &cats, &src)
+    };
+    Ok(GroupedRows { groups })
+}
+
+/// Grouping on `K` keys: run-aligned for full-table scans where every
+/// grouping column exposes RLE runs — checked *before* `codes()`, which
+/// would force a decode of an encoded column — chunked otherwise.
+fn group_packed<K: PackedKey>(
+    layout: &KeyLayout,
+    cats: &[Cat<'_>],
+    src: &RowSrc<'_>,
+) -> FxHashMap<Vec<u32>, Vec<RowId>> {
+    if let RowSrc::All(n) = src {
         let run_views: Option<Vec<RunsView<'_, u32>>> = cats.iter().map(|c| c.runs()).collect();
-        if let Some(runs) = run_views {
-            if !runs.is_empty() {
-                tabula_obs::global().counter("group.kernel.runs").inc();
-                return Ok(GroupedRows { groups: group_runs(layout, &runs, *n) });
-            }
+        if let Some(runs) = run_views.filter(|r| !r.is_empty()) {
+            tabula_obs::global().counter("group.kernel.runs").inc();
+            return group_runs::<K>(layout, &runs, *n);
         }
     }
     let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-    let groups = match &layout {
-        Some(layout) => group_vectorized(layout, &code_slices, &src),
-        None => group_scalar(cols.len(), &code_slices, &src),
-    };
-    Ok(GroupedRows { groups })
+    group_vectorized::<K>(layout, &code_slices, src)
 }
 
 /// Run-aligned grouping over RLE-encoded columns: per morsel, walk the
@@ -110,17 +116,17 @@ fn group_impl(table: &Table, cols: &[usize], src: RowSrc<'_>) -> Result<GroupedR
 /// of constant key — one key encode and one slot probe per *segment*,
 /// with members appended as a whole row range. Segment order is row
 /// order, so first-seen group order, member order, and the morsel merge
-/// are identical to [`group_vectorized`] / [`group_scalar`].
-fn group_runs(
+/// are identical to [`group_vectorized`].
+fn group_runs<K: PackedKey>(
     layout: &KeyLayout,
     runs: &[RunsView<'_, u32>],
     len: usize,
 ) -> FxHashMap<Vec<u32>, Vec<RowId>> {
     let pool = Pool::global();
-    let partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)> =
+    let partials: Vec<(Vec<K>, Vec<Vec<RowId>>)> =
         pool.par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut keys: Vec<u64> = Vec::new();
+            let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+            let mut keys: Vec<K> = Vec::new();
             let mut members: Vec<Vec<RowId>> = Vec::new();
             let mut cursors: Vec<usize> = runs
                 .iter()
@@ -134,7 +140,7 @@ fn group_runs(
                     scratch[ci] = rv.values[cursors[ci]];
                     seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
                 }
-                let k = layout.encode(&scratch);
+                let k: K = layout.encode(&scratch);
                 let slot = match slots.get(&k) {
                     Some(&s) => s,
                     None => {
@@ -158,27 +164,25 @@ fn group_runs(
     merge_packed_members(layout, partials)
 }
 
-/// Chunked grouping on bit-packed `u64` keys: per morsel, each chunk packs
-/// its keys, probes the slot map, and appends members to dense per-slot
+/// Chunked grouping on bit-packed keys: per morsel, each chunk packs its
+/// keys, probes the slot map, and appends members to dense per-slot
 /// vectors; morsel partials merge in ascending order and decode once at
-/// the end. First-seen group order and member order match [`group_scalar`]
-/// exactly.
-fn group_vectorized(
+/// the end. Groups appear in first-seen row order, members in row order.
+fn group_vectorized<K: PackedKey>(
     layout: &KeyLayout,
     code_slices: &[&[u32]],
     src: &RowSrc<'_>,
 ) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let chunk = kernel::chunk_rows();
     let pool = Pool::global();
-    let partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)> =
+    let partials: Vec<(Vec<K>, Vec<Vec<RowId>>)> =
         pool.par_chunks(src.len(), DEFAULT_MORSEL_ROWS, |range| {
-            let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut keys: Vec<u64> = Vec::new();
+            let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+            let mut keys: Vec<K> = Vec::new();
             let mut members: Vec<Vec<RowId>> = Vec::new();
-            let mut packed = PackedKeyBuf::new();
+            let mut packed = PackedKeyBuf::<K>::new();
             let mut start = range.start;
             while start < range.end {
-                let end = range.end.min(start + chunk);
+                let end = range.end.min(start + CHUNK_ROWS);
                 match src {
                     RowSrc::All(_) => packed.fill_range(layout, code_slices, start..end),
                     RowSrc::Subset(rows) => packed.fill(layout, code_slices, &rows[start..end]),
@@ -204,13 +208,13 @@ fn group_vectorized(
 }
 
 /// Merge per-morsel packed partials in ascending morsel order, then
-/// decode each `u64` key once at the end.
-fn merge_packed_members(
+/// decode each key once at the end.
+fn merge_packed_members<K: PackedKey>(
     layout: &KeyLayout,
-    partials: Vec<(Vec<u64>, Vec<Vec<RowId>>)>,
+    partials: Vec<(Vec<K>, Vec<Vec<RowId>>)>,
 ) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut keys: Vec<u64> = Vec::new();
+    let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+    let mut keys: Vec<K> = Vec::new();
     let mut members: Vec<Vec<RowId>> = Vec::new();
     for (pkeys, pmembers) in partials {
         for (k, mut m) in pkeys.into_iter().zip(pmembers) {
@@ -230,60 +234,6 @@ fn merge_packed_members(
         groups.insert(layout.decode(k), m);
     }
     groups
-}
-
-/// Row-at-a-time reference grouping on row-major `u32` slice keys.
-fn group_scalar(
-    width: usize,
-    code_slices: &[&[u32]],
-    src: &RowSrc<'_>,
-) -> FxHashMap<Vec<u32>, Vec<RowId>> {
-    let pool = Pool::global();
-    let partials = pool.par_chunks(src.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut packed = PackedCodes::new(width);
-        match src {
-            RowSrc::All(_) => packed.fill_range(code_slices, range.clone()),
-            RowSrc::Subset(rows) => packed.fill(code_slices, &rows[range.clone()]),
-        }
-        let mut groups: FxHashMap<Vec<u32>, Vec<RowId>> = FxHashMap::default();
-        for (i, at) in range.enumerate() {
-            let key = packed.key(i);
-            let row = src.row(at);
-            match groups.get_mut(key) {
-                Some(v) => v.push(row),
-                None => {
-                    groups.insert(key.to_vec(), vec![row]);
-                }
-            }
-        }
-        groups
-    });
-    // Ordered merge: group members concatenate in morsel order, i.e. in
-    // the caller's original row order — identical to a serial pass.
-    let mut iter = partials.into_iter();
-    let mut groups = iter.next().unwrap_or_default();
-    for partial in iter {
-        for (key, mut members) in partial {
-            match groups.get_mut(&key) {
-                Some(v) => v.append(&mut members),
-                None => {
-                    groups.insert(key, members);
-                }
-            }
-        }
-    }
-    groups
-}
-
-/// Project each row of `rows` to its code tuple under `cols` without
-/// grouping, packed row-major (one allocation total, not one per row).
-/// Useful for membership probes against a set of cells.
-pub fn project_codes(table: &Table, cols: &[usize], rows: &[RowId]) -> Result<PackedCodes> {
-    let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
-    let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-    let mut packed = PackedCodes::new(cols.len());
-    packed.fill(&code_slices, rows);
-    Ok(packed)
 }
 
 #[cfg(test)]
@@ -346,6 +296,15 @@ mod tests {
     }
 
     #[test]
+    fn group_members_keep_the_callers_row_order() {
+        let t = table();
+        let g = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
+        assert_eq!(g.len(), 2);
+        assert_eq!(g.groups[&vec![1, 1]], vec![5, 1]); // credit, 2
+        assert_eq!(g.groups[&vec![0, 0]], vec![0]); // cash, 1
+    }
+
+    #[test]
     fn grouping_on_empty_column_list_yields_one_group() {
         let t = table();
         let g = group_by(&t, &[]).unwrap();
@@ -359,20 +318,11 @@ mod tests {
         assert!(group_by(&t, &[2]).is_err());
     }
 
+    /// The run-aligned kernel must produce groups identical to the chunked
+    /// kernel over decoded codes — first-seen order and member order
+    /// included.
     #[test]
-    fn project_codes_matches_group_keys() {
-        let t = table();
-        let codes = project_codes(&t, &[0, 1], &[0, 3]).unwrap();
-        let keys: Vec<&[u32]> = codes.keys().collect();
-        assert_eq!(keys, vec![&[0, 0][..], &[2, 2][..]]);
-    }
-
-    /// The run-aligned kernel must produce groups identical to both the
-    /// vectorized (decoded) and scalar kernels — first-seen order and
-    /// member order included. Kernels are invoked directly, so no global
-    /// mode is touched.
-    #[test]
-    fn run_aligned_grouping_matches_decoded_kernels() {
+    fn run_aligned_grouping_matches_decoded_kernel() {
         let schema =
             Schema::new(vec![Field::new("a", ColumnType::Str), Field::new("b", ColumnType::Int64)]);
         let mut b = TableBuilder::new(schema);
@@ -380,39 +330,17 @@ mod tests {
             let blk = row / 53;
             b.push_row(&[["x", "y", "z"][blk % 3].into(), ((blk % 5) as i64).into()]).unwrap();
         }
-        let t = b.finish();
-        let mut cols: Vec<crate::column::Column> = Vec::new();
-        for i in 0..2 {
-            let mut c = t.column(i).clone();
-            c.encode_for_freeze(crate::encoding::EncodingMode::Force);
-            cols.push(c);
-        }
-        let t = Table::from_columns(t.schema().clone(), cols).unwrap();
+        let t = b.finish().with_encoding(crate::EncodingMode::Force);
         let cats: Vec<Cat<'_>> = (0..2).map(|c| t.cat(c).unwrap()).collect();
         let runs: Vec<RunsView<'_, u32>> = cats.iter().map(|c| c.runs().unwrap()).collect();
         let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
         let layout = KeyLayout::from_cardinalities(&cards).unwrap();
-        let aligned = group_runs(&layout, &runs, t.len());
+        let aligned = group_runs::<u64>(&layout, &runs, t.len());
         let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
-        let vectorized = group_vectorized(&layout, &code_slices, &RowSrc::All(t.len()));
-        let scalar = group_scalar(2, &code_slices, &RowSrc::All(t.len()));
+        let vectorized = group_vectorized::<u64>(&layout, &code_slices, &RowSrc::All(t.len()));
         assert_eq!(aligned, vectorized);
-        assert_eq!(aligned, scalar);
-    }
-
-    #[test]
-    fn scalar_and_vectorized_groupings_agree() {
-        use crate::kernel::{set_kernel_mode, KernelMode};
-        let t = table();
-        let prev = crate::kernel::kernel_mode();
-        set_kernel_mode(KernelMode::ForceScalar);
-        let scalar = group_by(&t, &[0, 1]).unwrap();
-        let scalar_sub = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
-        set_kernel_mode(KernelMode::ForceVectorized);
-        let vector = group_by(&t, &[0, 1]).unwrap();
-        let vector_sub = group_rows(&t, &[0, 1], &[5, 1, 0]).unwrap();
-        set_kernel_mode(prev);
-        assert_eq!(scalar.groups, vector.groups);
-        assert_eq!(scalar_sub.groups, vector_sub.groups);
+        // The wide-key instantiation of the same kernels agrees too.
+        assert_eq!(aligned, group_runs::<u128>(&layout, &runs, t.len()));
+        assert_eq!(aligned, group_vectorized::<u128>(&layout, &code_slices, &RowSrc::All(t.len())));
     }
 }

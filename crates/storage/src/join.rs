@@ -8,8 +8,8 @@
 //! stream the raw rows through it.
 
 use crate::fx::FxHashSet;
-use crate::kernel;
-use crate::packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+use crate::kernel::CHUNK_ROWS;
+use crate::packed::{KeyLayout, PackedKey, PackedKeyBuf};
 use crate::table::{Cat, RowId, Table};
 use crate::Result;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
@@ -22,37 +22,26 @@ use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 /// hash set; per-morsel matches concatenate in morsel order, preserving
 /// the ascending-row-id contract for any thread count.
 ///
-/// When the bit-packed key fits 64 bits the probe is vectorized: the
-/// build side re-encodes into a `u64` set (dropping cells whose codes
-/// exceed the probe table's dictionary domains — those can match no row),
-/// and each chunk probes one packed word per row.
+/// The build side re-encodes into a set of bit-packed keys (`u64` or
+/// `u128` by the layout's width), dropping cells whose codes exceed the
+/// probe table's dictionary domains — those can match no row — and each
+/// chunk probes one packed word per row.
 pub fn semi_join(table: &Table, cols: &[usize], cells: &FxHashSet<Vec<u32>>) -> Result<Vec<RowId>> {
     if cells.is_empty() {
         return Ok(Vec::new());
     }
     let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
-    let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
     let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
-    let layout = if kernel::vectorize() { KeyLayout::from_cardinalities(&cards) } else { None };
-    if let Some(layout) = layout {
-        return Ok(semi_join_vectorized(table, &layout, &code_slices, cells));
-    }
-    let pool = Pool::global();
-    let partials = pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut packed = PackedCodes::new(cols.len());
-        packed.fill_range(&code_slices, range.clone());
-        let mut out = Vec::new();
-        for (i, row) in range.enumerate() {
-            if cells.contains(packed.key(i)) {
-                out.push(row as RowId);
-            }
-        }
-        out
-    });
-    Ok(partials.concat())
+    let layout = KeyLayout::from_cardinalities(&cards)?;
+    let code_slices: Vec<&[u32]> = cats.iter().map(|c| c.codes()).collect();
+    Ok(if layout.total_bits() <= 64 {
+        semi_join_packed::<u64>(table, &layout, &code_slices, cells)
+    } else {
+        semi_join_packed::<u128>(table, &layout, &code_slices, cells)
+    })
 }
 
-fn semi_join_vectorized(
+fn semi_join_packed<K: PackedKey>(
     table: &Table,
     layout: &KeyLayout,
     code_slices: &[&[u32]],
@@ -61,19 +50,18 @@ fn semi_join_vectorized(
     // Build side: pack each cell key. A cell with any code outside the
     // probe table's dictionary domain cannot equal any row's projection,
     // so it is dropped rather than aliased into the packed domain.
-    let packed_cells: FxHashSet<u64> =
+    let packed_cells: FxHashSet<K> =
         cells.iter().filter(|key| layout.fits(key)).map(|key| layout.encode(key)).collect();
     if packed_cells.is_empty() {
         return Vec::new();
     }
-    let chunk = kernel::chunk_rows();
     let pool = Pool::global();
     let partials = pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut packed = PackedKeyBuf::new();
+        let mut packed = PackedKeyBuf::<K>::new();
         let mut out = Vec::new();
         let mut start = range.start;
         while start < range.end {
-            let end = range.end.min(start + chunk);
+            let end = range.end.min(start + CHUNK_ROWS);
             packed.fill_range(layout, code_slices, start..end);
             for (i, k) in packed.keys().iter().enumerate() {
                 if packed_cells.contains(k) {

@@ -1,114 +1,37 @@
-//! Chunked-execution plumbing shared by the vectorized build kernels.
+//! Chunked-execution plumbing shared by the storage kernels.
 //!
 //! The storage hot loops (scan, filter, group-by, finest-cuboid
-//! aggregation) process each `tabula-par` morsel in fixed-size *chunks* of
-//! [`chunk_rows`] rows. A chunk is small enough that its packed keys, its
-//! [`SelectionVector`], and the touched column slices stay cache-resident,
-//! while still amortizing per-batch dispatch over thousands of rows.
+//! aggregation, semi-join) process each `tabula-par` morsel in fixed-size
+//! *chunks* of [`CHUNK_ROWS`] rows. A chunk is small enough that its packed
+//! keys, its [`SelectionVector`], and the touched column slices stay
+//! cache-resident, while still amortizing per-batch dispatch over
+//! thousands of rows.
 //!
 //! Chunk boundaries — like morsel boundaries — are a pure function of the
-//! input length and the `TABULA_CHUNK_ROWS` knob, never of the thread
-//! count, so chunking preserves the tabula-par determinism contract:
-//! results are byte-identical for any `TABULA_THREADS`.
+//! input length, never of the thread count, so chunking preserves the
+//! tabula-par determinism contract: results are byte-identical for any
+//! `TABULA_THREADS`.
 //!
-//! [`KernelMode`] selects between the vectorized kernels and the original
-//! row-at-a-time scalar paths. Both produce *identical* results (the
-//! differential lane in tabula-check replays every fuzz case through both);
-//! the override exists for benchmarking ([`crate::predicate`] vs the
-//! scalar reference) and for pinning one path in regression tests.
+//! Each operator has exactly one physical implementation. Row-at-a-time
+//! reference implementations, used to check these kernels, live in
+//! `tabula-check`, not behind a runtime switch.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// Default number of rows per execution chunk.
-pub const DEFAULT_CHUNK_ROWS: usize = 2048;
-
-static CHUNK_ROWS: OnceLock<usize> = OnceLock::new();
-
-/// Rows per execution chunk: `TABULA_CHUNK_ROWS` if set (clamped to ≥ 1),
-/// else [`DEFAULT_CHUNK_ROWS`]. Read once and cached for the process
-/// lifetime, so every scan in a run chunks identically.
-pub fn chunk_rows() -> usize {
-    *CHUNK_ROWS.get_or_init(|| {
-        std::env::var("TABULA_CHUNK_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|v| v.max(1))
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
-}
+/// Number of rows per execution chunk.
+pub const CHUNK_ROWS: usize = 2048;
 
 /// Number of chunks a scan over `len` rows visits, given the morsel size
 /// `morsel` — per-morsel chunking restarts at each morsel boundary, so the
-/// count is `Σ ⌈morsel_len / chunk_rows⌉`. Pure arithmetic (no scan-side
+/// count is `Σ ⌈morsel_len / CHUNK_ROWS⌉`. Pure arithmetic (no scan-side
 /// accounting), hence identical at any thread count.
 pub fn chunk_count(len: usize, morsel: usize) -> u64 {
     if len == 0 {
         return 0;
     }
-    let chunk = chunk_rows();
     let morsel = morsel.max(1);
     let full = len / morsel;
     let tail = len % morsel;
-    let per_full = morsel.div_ceil(chunk) as u64;
-    full as u64 * per_full + if tail > 0 { tail.div_ceil(chunk) as u64 } else { 0 }
-}
-
-/// Which implementation the storage hot loops run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Vectorized when the operator supports it (packed key fits 64 bits,
-    /// all predicate terms have a typed kernel), scalar otherwise.
-    Auto,
-    /// Always the row-at-a-time scalar reference path.
-    ForceScalar,
-    /// Vectorized whenever possible (same selection rule as `Auto`; the
-    /// scalar fallback still covers shapes with no vectorized form).
-    ForceVectorized,
-}
-
-const MODE_UNSET: u8 = u8::MAX;
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_from_env() -> KernelMode {
-    match std::env::var("TABULA_KERNELS").ok().as_deref() {
-        Some("scalar") => KernelMode::ForceScalar,
-        Some("vectorized") => KernelMode::ForceVectorized,
-        _ => KernelMode::Auto,
-    }
-}
-
-/// The active [`KernelMode`]: the last [`set_kernel_mode`] override, else
-/// the `TABULA_KERNELS` env knob (`scalar` / `vectorized` / `auto`).
-pub fn kernel_mode() -> KernelMode {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        0 => KernelMode::Auto,
-        1 => KernelMode::ForceScalar,
-        2 => KernelMode::ForceVectorized,
-        _ => {
-            let m = mode_from_env();
-            set_kernel_mode(m);
-            m
-        }
-    }
-}
-
-/// Override the kernel mode at runtime (used by the differential harness
-/// and the `build_kernels` micro-benchmark to pin one path per run).
-pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Auto => 0,
-        KernelMode::ForceScalar => 1,
-        KernelMode::ForceVectorized => 2,
-    };
-    KERNEL_MODE.store(v, Ordering::Relaxed);
-}
-
-/// Whether operators should *try* the vectorized path (they still fall
-/// back to scalar when no vectorized form exists for the input shape).
-#[inline]
-pub fn vectorize() -> bool {
-    kernel_mode() != KernelMode::ForceScalar
+    let per_full = morsel.div_ceil(CHUNK_ROWS) as u64;
+    full as u64 * per_full + if tail > 0 { tail.div_ceil(CHUNK_ROWS) as u64 } else { 0 }
 }
 
 /// A selection vector: the row ids (ascending) of one chunk that survive
@@ -175,7 +98,7 @@ mod tests {
 
     #[test]
     fn chunk_count_is_sum_over_morsels() {
-        let chunk = chunk_rows();
+        let chunk = CHUNK_ROWS;
         // One exact morsel of 4 chunks.
         assert_eq!(chunk_count(4 * chunk, 4 * chunk), 4);
         // Two morsels: 4 full chunks + a 1-row tail chunk.
@@ -196,16 +119,5 @@ mod tests {
         assert_eq!(sel.as_slice(), &[14, 16]);
         sel.clear();
         assert!(sel.is_empty());
-    }
-
-    #[test]
-    fn mode_round_trips() {
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::ForceScalar);
-        assert_eq!(kernel_mode(), KernelMode::ForceScalar);
-        assert!(!vectorize());
-        set_kernel_mode(KernelMode::ForceVectorized);
-        assert!(vectorize());
-        set_kernel_mode(prev);
     }
 }

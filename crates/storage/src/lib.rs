@@ -44,13 +44,11 @@ pub use agg::AggState;
 pub use column::Column;
 pub use cube::{CellKey, CuboidMask, Lattice};
 pub use dictionary::Dictionary;
-pub use encoding::{
-    decode_count, encoding_mode, set_encoding_mode, Codable, Encoded, EncodedBuf, EncodingMode,
-};
+pub use encoding::{decode_count, Codable, Encoded, EncodedBuf, EncodingMode};
 pub use fx::{FxHashMap, FxHashSet};
 pub use group::{group_by, GroupedRows};
-pub use kernel::{chunk_rows, kernel_mode, set_kernel_mode, KernelMode, SelectionVector};
-pub use packed::{KeyLayout, PackedCodes, PackedKeyBuf};
+pub use kernel::{SelectionVector, CHUNK_ROWS};
+pub use packed::{KeyLayout, PackedKey, PackedKeyBuf, MAX_KEY_BITS};
 pub use predicate::{CmpOp, Predicate, ScanKernel, ScanStats};
 pub use schema::{Field, Schema};
 pub use shared::{ColumnBuf, SharedSlice};
@@ -80,6 +78,14 @@ pub enum StorageError {
     },
     /// Operation requires a categorical (dictionary-encodable) column.
     NotCategorical(String),
+    /// The bit-packed grouping key of the requested columns is wider than
+    /// the kernels support.
+    KeyTooWide {
+        /// Bits the packed key would need.
+        bits: u32,
+        /// Widest supported key.
+        max: u32,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -94,6 +100,9 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::NotCategorical(name) => {
                 write!(f, "column {name} is not categorical (Str or Int64 required)")
+            }
+            StorageError::KeyTooWide { bits, max } => {
+                write!(f, "packed grouping key needs {bits} bits; at most {max} are supported")
             }
         }
     }

@@ -1,104 +1,72 @@
-//! Packed grouping-key buffers for the group-by / cube hot paths.
+//! Bit-packed grouping keys for the group-by / cube / semi-join kernels.
 //!
-//! Two generations of key packing live here:
+//! Attribute `i` with cardinality `cᵢ` needs only `⌈log₂ cᵢ⌉` bits, so a
+//! whole grouping key occupies `Σ ⌈log₂ cᵢ⌉` bits instead of 32 bits per
+//! attribute ([`KeyLayout`]). A key is one machine word of a
+//! [`PackedKey`] type: `u64` when the layout fits 64 bits (every
+//! realistic dashboard cube — seven attributes of cardinality 100 need 49
+//! bits), `u128` up to [`MAX_KEY_BITS`]. Each kernel picks the type once
+//! per call from [`KeyLayout::total_bits`]; wider layouts are a typed
+//! [`StorageError::KeyTooWide`]. Hashing is a one- or two-word mix,
+//! equality one compare, and the lattice rollup merges parent states by
+//! *squeezing* the removed attribute's bit field out of the key without
+//! ever re-decoding.
 //!
-//! * [`PackedCodes`] — row-major `u32` code tuples, `width` codes per row.
-//!   Hash-map lookups borrow fixed-width `&[u32]` slices directly, so the
-//!   per-row key allocation disappears. This is the generic fallback: it
-//!   works for any cardinalities.
-//! * [`KeyLayout`] / [`PackedKeyBuf`] — **bit-packed** keys. Attribute `i`
-//!   with cardinality `cᵢ` needs only `⌈log₂ cᵢ⌉` bits, so a whole key
-//!   occupies `Σ ⌈log₂ cᵢ⌉` bits instead of 32 bits per attribute. When
-//!   that sum fits in 64 bits (true for every realistic dashboard cube —
-//!   e.g. seven attributes of cardinality 100 need 49 bits), a key is one
-//!   `u64`: hashing is a single-word mix, equality one compare, and the
-//!   lattice rollup merges parent states by *squeezing* the removed
-//!   attribute's bit field out of the key without ever re-decoding.
-//!
-//! Layouts place attribute 0 in the **highest** bits, so ascending `u64`
+//! Layouts place attribute 0 in the **highest** bits, so ascending key
 //! order equals ascending lexicographic order of the decoded code tuples.
-//! The rollup exploits this: sorting packed entries by `u64` gives exactly
-//! the order the scalar path gets by sorting `Vec<u32>` keys, which is how
-//! the two paths stay bit-identical (see `cube::rollup_from_finest`).
+//! The rollup relies on this: sorting packed entries gives the canonical
+//! lexicographic merge order that keeps float bits a function of cube
+//! content alone (see `cube::rollup_from_finest`).
 //!
-//! Both buffer types reuse their allocation across refills (`clear` +
+//! [`PackedKeyBuf`] reuses its allocation across refills (`clear` +
 //! `resize` never shrink capacity), so steady-state loops — morsel after
 //! morsel, or incremental-refresh round after round — allocate nothing.
 
 use crate::table::RowId;
+use crate::{Result, StorageError};
+use std::ops::{BitAnd, BitOr, BitOrAssign, Shl, Shr, Sub};
 
-/// A row-major buffer of grouping codes: `width` codes per row, packed
-/// contiguously. Reusable across morsels via [`PackedCodes::fill`].
-#[derive(Debug, Default)]
-pub struct PackedCodes {
-    width: usize,
-    rows: usize,
-    flat: Vec<u32>,
+/// Widest packed key any kernel supports, in bits.
+pub const MAX_KEY_BITS: u32 = 128;
+
+/// An unsigned machine word holding one bit-packed grouping key.
+pub trait PackedKey:
+    Copy
+    + Eq
+    + Ord
+    + std::hash::Hash
+    + Default
+    + std::fmt::Debug
+    + Send
+    + Sync
+    + 'static
+    + From<u32>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+    + BitOr<Output = Self>
+    + BitOrAssign
+    + BitAnd<Output = Self>
+    + Sub<Output = Self>
+{
+    /// Width of the word in bits.
+    const BITS: u32;
+    /// The low 32 bits (one attribute's field after shift and mask).
+    fn low_u32(self) -> u32;
 }
 
-impl PackedCodes {
-    /// An empty buffer for keys of `width` codes.
-    pub fn new(width: usize) -> Self {
-        PackedCodes { width, rows: 0, flat: Vec::new() }
-    }
-
-    /// Repack the buffer with the codes of `rows`, read from the
-    /// per-column `code_slices` (one `&[u32]` per grouping column, full
-    /// table length). Column-major fill: each source slice is walked once.
-    pub fn fill(&mut self, code_slices: &[&[u32]], rows: &[RowId]) {
-        debug_assert_eq!(code_slices.len(), self.width);
-        self.rows = rows.len();
-        self.flat.clear();
-        self.flat.resize(rows.len() * self.width, 0);
-        for (c, codes) in code_slices.iter().enumerate() {
-            let mut at = c;
-            for &row in rows {
-                self.flat[at] = codes[row as usize];
-                at += self.width;
-            }
-        }
-    }
-
-    /// Repack with a contiguous row range (the morsel fast path — no row
-    /// id indirection).
-    pub fn fill_range(&mut self, code_slices: &[&[u32]], range: std::ops::Range<usize>) {
-        debug_assert_eq!(code_slices.len(), self.width);
-        self.rows = range.len();
-        self.flat.clear();
-        self.flat.resize(range.len() * self.width, 0);
-        for (c, codes) in code_slices.iter().enumerate() {
-            let mut at = c;
-            for &code in &codes[range.clone()] {
-                self.flat[at] = code;
-                at += self.width;
-            }
-        }
-    }
-
-    /// Number of packed rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the buffer holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Allocated capacity, in codes (diagnostics / capacity tests).
-    pub fn capacity(&self) -> usize {
-        self.flat.capacity()
-    }
-
-    /// The `i`-th row's key as a fixed-width slice.
+impl PackedKey for u64 {
+    const BITS: u32 = u64::BITS;
     #[inline]
-    pub fn key(&self, i: usize) -> &[u32] {
-        &self.flat[i * self.width..(i + 1) * self.width]
+    fn low_u32(self) -> u32 {
+        self as u32
     }
+}
 
-    /// Iterate the packed keys in row order.
-    pub fn keys(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.rows).map(|i| self.key(i))
+impl PackedKey for u128 {
+    const BITS: u32 = u128::BITS;
+    #[inline]
+    fn low_u32(self) -> u32 {
+        self as u32
     }
 }
 
@@ -115,22 +83,26 @@ pub struct KeyLayout {
 
 impl KeyLayout {
     /// Build the layout for the given per-attribute cardinalities, or
-    /// `None` when the packed key would exceed 64 bits (callers then fall
-    /// back to [`PackedCodes`] slice keys).
-    pub fn from_cardinalities(cards: &[usize]) -> Option<KeyLayout> {
+    /// [`StorageError::KeyTooWide`] when the packed key would exceed
+    /// [`MAX_KEY_BITS`].
+    pub fn from_cardinalities(cards: &[usize]) -> Result<KeyLayout> {
         let bits: Vec<u8> = cards.iter().map(|&c| Self::bits_for(c)).collect();
         let total: u32 = bits.iter().map(|&b| b as u32).sum();
-        if total > 64 {
-            return None;
+        if total > MAX_KEY_BITS {
+            return Err(StorageError::KeyTooWide { bits: total, max: MAX_KEY_BITS });
         }
-        // Attribute 0 highest: shiftᵢ = total − (bits₀ + … + bitsᵢ).
+        Ok(Self::with_bits(bits, total))
+    }
+
+    /// Attribute 0 highest: shiftᵢ = total − (bits₀ + … + bitsᵢ).
+    fn with_bits(bits: Vec<u8>, total_bits: u32) -> KeyLayout {
         let mut shifts = Vec::with_capacity(bits.len());
         let mut used = 0u32;
         for &b in &bits {
             used += b as u32;
-            shifts.push((total - used) as u8);
+            shifts.push((total_bits - used) as u8);
         }
-        Some(KeyLayout { bits, shifts, total_bits: total })
+        KeyLayout { bits, shifts, total_bits }
     }
 
     /// Bits needed to store any code of an attribute with cardinality
@@ -148,7 +120,7 @@ impl KeyLayout {
         self.bits.len()
     }
 
-    /// Total bits a packed key occupies (`Σ ⌈log₂ cᵢ⌉ ≤ 64`).
+    /// Total bits a packed key occupies (`Σ ⌈log₂ cᵢ⌉ ≤ MAX_KEY_BITS`).
     pub fn total_bits(&self) -> u32 {
         self.total_bits
     }
@@ -159,24 +131,29 @@ impl KeyLayout {
     }
 
     #[inline]
-    fn field_mask(bits: u32) -> u64 {
+    fn field_mask<K: PackedKey>(bits: u32) -> K {
         // Per-attribute widths are ≤ 32 (codes are u32), so no overflow.
-        (1u64 << bits) - 1
+        (K::from(1) << bits) - K::from(1)
     }
 
-    /// Pack one code tuple. Codes must be in range (`< 2^bits[i]`); out of
-    /// range codes would alias, so debug builds assert.
+    /// Pack one code tuple into a `K` (which must be at least
+    /// [`total_bits`](Self::total_bits) wide). Codes must be in range
+    /// (`< 2^bits[i]`); out of range codes would alias, so debug builds
+    /// assert.
     #[inline]
-    pub fn encode(&self, codes: &[u32]) -> u64 {
+    pub fn encode<K: PackedKey>(&self, codes: &[u32]) -> K {
+        debug_assert!(self.total_bits <= K::BITS);
         debug_assert_eq!(codes.len(), self.bits.len());
-        let mut key = 0u64;
+        let mut key = K::default();
         for (i, &c) in codes.iter().enumerate() {
             debug_assert!(
                 self.bits[i] == 32 || (c as u64) < (1u64 << self.bits[i]),
                 "code {c} exceeds {} bits",
                 self.bits[i]
             );
-            key |= (c as u64) << self.shifts[i];
+            if self.bits[i] != 0 {
+                key |= K::from(c) << self.shifts[i] as u32;
+            }
         }
         key
     }
@@ -193,17 +170,21 @@ impl KeyLayout {
 
     /// Unpack a key into `out` (cleared first).
     #[inline]
-    pub fn decode_into(&self, key: u64, out: &mut Vec<u32>) {
+    pub fn decode_into<K: PackedKey>(&self, key: K, out: &mut Vec<u32>) {
         out.clear();
         for i in 0..self.bits.len() {
             let b = self.bits[i] as u32;
-            let field = if b == 0 { 0 } else { (key >> self.shifts[i]) & Self::field_mask(b) };
-            out.push(field as u32);
+            let field = if b == 0 {
+                0
+            } else {
+                ((key >> self.shifts[i] as u32) & Self::field_mask::<K>(b)).low_u32()
+            };
+            out.push(field);
         }
     }
 
     /// Unpack a key into a fresh vector.
-    pub fn decode(&self, key: u64) -> Vec<u32> {
+    pub fn decode<K: PackedKey>(&self, key: K) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.bits.len());
         self.decode_into(key, &mut out);
         out
@@ -215,46 +196,37 @@ impl KeyLayout {
     /// for the shortened tuple, so the lattice rollup maps parent keys to
     /// child keys with two shifts and a mask, never re-decoding.
     #[inline]
-    pub fn squeeze(&self, key: u64, removed: usize) -> u64 {
+    pub fn squeeze<K: PackedKey>(&self, key: K, removed: usize) -> K {
         let b = self.bits[removed] as u32;
         if b == 0 {
             return key;
         }
         let s = self.shifts[removed] as u32;
-        let low = if s == 0 { 0 } else { key & ((1u64 << s) - 1) };
-        let high = if s + b >= 64 { 0 } else { key >> (s + b) };
+        let low = if s == 0 { K::default() } else { key & ((K::from(1) << s) - K::from(1)) };
+        let high = if s + b >= K::BITS { K::default() } else { key >> (s + b) };
         (high << s) | low
     }
 
     /// The layout of keys with attribute `removed` squeezed out.
     pub fn without_attr(&self, removed: usize) -> KeyLayout {
-        let b = self.bits[removed] as u32;
         let mut bits = self.bits.clone();
         bits.remove(removed);
-        let total = self.total_bits - b;
-        let mut shifts = Vec::with_capacity(bits.len());
-        let mut used = 0u32;
-        for &w in &bits {
-            used += w as u32;
-            shifts.push((total - used) as u8);
-        }
-        KeyLayout { bits, shifts, total_bits: total }
+        Self::with_bits(bits, self.total_bits - self.bits[removed] as u32)
     }
 }
 
-/// A reusable buffer of bit-packed `u64` grouping keys, one per row —
-/// the [`PackedCodes`] counterpart for layouts that fit 64 bits. Filled
+/// A reusable buffer of bit-packed grouping keys, one per row. Filled
 /// column-major (each code slice walked once, OR-ing its shifted field
-/// in), consumed as a plain `&[u64]`. Refills reuse capacity.
+/// in), consumed as a plain `&[K]`. Refills reuse capacity.
 #[derive(Debug, Default)]
-pub struct PackedKeyBuf {
-    keys: Vec<u64>,
+pub struct PackedKeyBuf<K> {
+    keys: Vec<K>,
 }
 
-impl PackedKeyBuf {
+impl<K: PackedKey> PackedKeyBuf<K> {
     /// An empty buffer.
     pub fn new() -> Self {
-        PackedKeyBuf::default()
+        PackedKeyBuf { keys: Vec::new() }
     }
 
     /// Pack the keys of a contiguous row range.
@@ -266,14 +238,14 @@ impl PackedKeyBuf {
     ) {
         debug_assert_eq!(code_slices.len(), layout.width());
         self.keys.clear();
-        self.keys.resize(range.len(), 0);
+        self.keys.resize(range.len(), K::default());
         for (i, codes) in code_slices.iter().enumerate() {
-            let shift = layout.shifts[i];
             if layout.bits[i] == 0 {
                 continue;
             }
+            let shift = layout.shifts[i] as u32;
             for (k, &code) in self.keys.iter_mut().zip(&codes[range.clone()]) {
-                *k |= (code as u64) << shift;
+                *k |= K::from(code) << shift;
             }
         }
     }
@@ -282,32 +254,22 @@ impl PackedKeyBuf {
     pub fn fill(&mut self, layout: &KeyLayout, code_slices: &[&[u32]], rows: &[RowId]) {
         debug_assert_eq!(code_slices.len(), layout.width());
         self.keys.clear();
-        self.keys.resize(rows.len(), 0);
+        self.keys.resize(rows.len(), K::default());
         for (i, codes) in code_slices.iter().enumerate() {
-            let shift = layout.shifts[i];
             if layout.bits[i] == 0 {
                 continue;
             }
+            let shift = layout.shifts[i] as u32;
             for (k, &row) in self.keys.iter_mut().zip(rows) {
-                *k |= (codes[row as usize] as u64) << shift;
+                *k |= K::from(codes[row as usize]) << shift;
             }
         }
     }
 
     /// The packed keys, in row order.
     #[inline]
-    pub fn keys(&self) -> &[u64] {
+    pub fn keys(&self) -> &[K] {
         &self.keys
-    }
-
-    /// Number of packed rows.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the buffer holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Allocated capacity, in keys (diagnostics / capacity tests).
@@ -321,71 +283,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fill_transposes_column_slices() {
-        let col_a: &[u32] = &[10, 11, 12, 13];
-        let col_b: &[u32] = &[20, 21, 22, 23];
-        let mut p = PackedCodes::new(2);
-        p.fill(&[col_a, col_b], &[0, 2, 3]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.key(0), &[10, 20]);
-        assert_eq!(p.key(1), &[12, 22]);
-        assert_eq!(p.key(2), &[13, 23]);
-        let all: Vec<&[u32]> = p.keys().collect();
-        assert_eq!(all, vec![&[10, 20][..], &[12, 22][..], &[13, 23][..]]);
-    }
-
-    #[test]
-    fn fill_range_matches_fill() {
-        let col: &[u32] = &[5, 6, 7, 8, 9];
-        let mut a = PackedCodes::new(1);
-        let mut b = PackedCodes::new(1);
-        a.fill(&[col], &[1, 2, 3]);
-        b.fill_range(&[col], 1..4);
-        assert_eq!(a.key(0), b.key(0));
-        assert_eq!(a.key(2), b.key(2));
-    }
-
-    #[test]
-    fn zero_width_keys() {
-        let mut p = PackedCodes::new(0);
-        p.fill(&[], &[0, 1, 2]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.key(1), &[] as &[u32]);
-        assert_eq!(p.keys().count(), 3);
-    }
-
-    #[test]
-    fn refill_reuses_buffer() {
-        let col: &[u32] = &[1, 2, 3];
-        let mut p = PackedCodes::new(1);
-        p.fill(&[col], &[0, 1, 2]);
-        p.fill(&[col], &[2]);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.key(0), &[3]);
-    }
-
-    #[test]
-    fn packed_codes_refills_never_reallocate() {
-        // Satellite: steady-state refills (incremental-refresh rounds,
-        // morsel loops) must reuse the high-water-mark allocation.
-        let col: Vec<u32> = (0..1000).collect();
-        let slices: Vec<&[u32]> = vec![&col, &col];
-        let mut p = PackedCodes::new(2);
-        p.fill_range(&slices, 0..1000);
-        let cap = p.capacity();
-        let ptr = p.flat.as_ptr();
-        for round in 0..10 {
-            let n = 100 * (round % 5 + 1);
-            p.fill_range(&slices, 0..n);
-            assert_eq!(p.len(), n);
-            let rows: Vec<RowId> = (0..n as u32).collect();
-            p.fill(&slices, &rows);
-            assert_eq!(p.capacity(), cap, "capacity changed on round {round}");
-            assert_eq!(p.flat.as_ptr(), ptr, "buffer reallocated on round {round}");
-        }
-    }
-
-    #[test]
     // The literal's groups mirror the 2/2/1-bit field widths, not bytes.
     #[allow(clippy::unusual_byte_groupings)]
     fn layout_packs_attr0_highest() {
@@ -393,12 +290,14 @@ mod tests {
         let l = KeyLayout::from_cardinalities(&[4, 3, 2]).unwrap();
         assert_eq!(l.total_bits(), 5);
         assert_eq!((l.attr_bits(0), l.attr_bits(1), l.attr_bits(2)), (2, 2, 1));
-        let k = l.encode(&[3, 2, 1]);
+        let k: u64 = l.encode(&[3, 2, 1]);
         assert_eq!(k, 0b11_10_1);
         assert_eq!(l.decode(k), vec![3, 2, 1]);
-        // Ascending u64 ⇔ ascending lexicographic code order.
-        assert!(l.encode(&[1, 2, 1]) < l.encode(&[2, 0, 0]));
-        assert!(l.encode(&[2, 0, 1]) < l.encode(&[2, 1, 0]));
+        // Ascending key ⇔ ascending lexicographic code order.
+        assert!(l.encode::<u64>(&[1, 2, 1]) < l.encode(&[2, 0, 0]));
+        assert!(l.encode::<u64>(&[2, 0, 1]) < l.encode(&[2, 1, 0]));
+        // The same layout packs identically into a wider word.
+        assert_eq!(l.encode::<u128>(&[3, 2, 1]), k as u128);
     }
 
     #[test]
@@ -406,27 +305,34 @@ mod tests {
         // Single-valued attributes carry zero bits.
         let l = KeyLayout::from_cardinalities(&[1, 5, 1]).unwrap();
         assert_eq!(l.total_bits(), 3);
-        let k = l.encode(&[0, 4, 0]);
+        let k: u64 = l.encode(&[0, 4, 0]);
         assert_eq!(l.decode(k), vec![0, 4, 0]);
         // Empty layout: the ALL cuboid's zero-width key.
         let l = KeyLayout::from_cardinalities(&[]).unwrap();
-        assert_eq!(l.encode(&[]), 0);
-        assert_eq!(l.decode(0), Vec::<u32>::new());
+        assert_eq!(l.encode::<u64>(&[]), 0);
+        assert_eq!(l.decode(0u64), Vec::<u32>::new());
     }
 
     #[test]
-    fn layout_rejects_keys_over_64_bits() {
-        // 22 + 22 + 20 = 64 bits: exactly fits.
-        assert!(KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 20]).is_some());
-        // 22 + 22 + 21 = 65 bits: one too many.
-        assert!(KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 21]).is_none());
+    fn layout_rejects_keys_over_128_bits() {
+        // 22 + 22 + 21 = 65 bits: past one word, within two.
+        let l = KeyLayout::from_cardinalities(&[1 << 22, 1 << 22, 1 << 21]).unwrap();
+        assert_eq!(l.total_bits(), 65);
+        // Four full 32-bit fields: exactly 128 bits.
+        let l = KeyLayout::from_cardinalities(&[1 << 32; 4]).unwrap();
+        assert_eq!(l.total_bits(), 128);
+        // One bit more is a typed error.
+        assert_eq!(
+            KeyLayout::from_cardinalities(&[1 << 32, 1 << 32, 1 << 32, 1 << 32, 2]),
+            Err(StorageError::KeyTooWide { bits: 129, max: 128 })
+        );
     }
 
     #[test]
     fn squeeze_matches_child_layout_encoding() {
         let l = KeyLayout::from_cardinalities(&[4, 3, 2, 1]).unwrap();
         let codes = [3u32, 2, 1, 0];
-        let key = l.encode(&codes);
+        let key: u64 = l.encode(&codes);
         for removed in 0..4 {
             let child = l.without_attr(removed);
             let mut child_codes = codes.to_vec();
@@ -440,9 +346,15 @@ mod tests {
         // 64 bits total: squeezing must not shift by ≥ 64.
         let l = KeyLayout::from_cardinalities(&[1 << 32, 1 << 32]).unwrap();
         assert_eq!(l.total_bits(), 64);
-        let key = l.encode(&[u32::MAX, 7]);
+        let key: u64 = l.encode(&[u32::MAX, 7]);
         assert_eq!(l.squeeze(key, 0), 7);
         assert_eq!(l.squeeze(key, 1), u32::MAX as u64);
+        // 128 bits total in the wide word, same edge.
+        let l = KeyLayout::from_cardinalities(&[1 << 32; 4]).unwrap();
+        let key: u128 = l.encode(&[u32::MAX, 1, 2, 3]);
+        assert_eq!(l.decode(key), vec![u32::MAX, 1, 2, 3]);
+        assert_eq!(l.without_attr(0).decode(l.squeeze(key, 0)), vec![1, 2, 3]);
+        assert_eq!(l.without_attr(3).decode(l.squeeze(key, 3)), vec![u32::MAX, 1, 2]);
     }
 
     #[test]
@@ -460,12 +372,15 @@ mod tests {
         let a: Vec<u32> = vec![0, 1, 2, 3, 0];
         let b: Vec<u32> = vec![2, 1, 0, 2, 1];
         let slices: Vec<&[u32]> = vec![&a, &b];
-        let mut buf = PackedKeyBuf::new();
+        let mut buf = PackedKeyBuf::<u64>::new();
         buf.fill_range(&l, &slices, 1..4);
         let expect: Vec<u64> = (1..4).map(|r| l.encode(&[a[r], b[r]])).collect();
         assert_eq!(buf.keys(), &expect[..]);
         buf.fill(&l, &slices, &[4, 0]);
         assert_eq!(buf.keys(), &[l.encode(&[0, 1]), l.encode(&[0, 2])]);
+        let mut wide = PackedKeyBuf::<u128>::new();
+        wide.fill(&l, &slices, &[4, 0]);
+        assert_eq!(wide.keys(), &[l.encode(&[0, 1]), l.encode(&[0, 2])]);
     }
 
     #[test]
@@ -473,12 +388,14 @@ mod tests {
         let l = KeyLayout::from_cardinalities(&[16, 16]).unwrap();
         let a: Vec<u32> = (0..1000).map(|i| i % 16).collect();
         let slices: Vec<&[u32]> = vec![&a, &a];
-        let mut buf = PackedKeyBuf::new();
+        let mut buf = PackedKeyBuf::<u64>::new();
         buf.fill_range(&l, &slices, 0..1000);
         let cap = buf.capacity();
         let ptr = buf.keys.as_ptr();
         for round in 0..10 {
             buf.fill_range(&l, &slices, 0..(round * 97) % 1000);
+            let rows: Vec<RowId> = (0..(round * 31) as RowId).collect();
+            buf.fill(&l, &slices, &rows);
             assert_eq!(buf.capacity(), cap, "capacity changed on round {round}");
             assert_eq!(buf.keys.as_ptr(), ptr, "buffer reallocated on round {round}");
         }

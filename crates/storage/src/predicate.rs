@@ -10,15 +10,15 @@
 //! column's native slice (dictionary codes, `i64`, `f64` — string
 //! ordering terms precompute a per-code lookup table so no row ever
 //! materializes a `String`), and a [`SelectionVector`] carries the
-//! surviving row ids of each chunk through the conjunction. The
-//! row-at-a-time scalar path remains as the `TABULA_KERNELS=scalar`
-//! reference; both produce identical row sets by construction (each
-//! kernel replicates [`compare`]'s exact semantics, `NaN` and
-//! mixed-type cases included).
+//! surviving row ids of each chunk through the conjunction. Terms over
+//! RLE or FOR columns evaluate on the encoded payload. The row-at-a-time
+//! [`Predicate::filter_rows`] is the reference these kernels are checked
+//! against; each kernel replicates [`compare`]'s exact semantics, `NaN`
+//! and mixed-type cases included.
 
 use crate::dictionary::Dictionary;
 use crate::encoding::{Codable, ForView};
-use crate::kernel::{self, SelectionVector};
+use crate::kernel::{self, SelectionVector, CHUNK_ROWS};
 use crate::table::{RowId, Table};
 use crate::types::Value;
 use crate::{Result, StorageError};
@@ -123,64 +123,46 @@ impl Predicate {
     fn filter_impl(&self, table: &Table) -> Result<(Vec<RowId>, ScanStats)> {
         let compiled = self.compile(table)?;
         let started = std::time::Instant::now();
-        let vec_terms =
-            if kernel::vectorize() { Some(compile_vectorized(&compiled, table)) } else { None };
-        let (rows, used, chunks, bytes, runs, encoded_bytes) = match &vec_terms {
-            Some(terms) => {
-                let cost = scan_cost(terms);
-                let used = if cost.rle_terms > 0 {
-                    ScanKernel::Rle
-                } else if cost.for_terms > 0 {
-                    ScanKernel::For
-                } else {
-                    ScanKernel::Vectorized
-                };
-                (
-                    filter_vectorized(table.len(), terms),
-                    used,
-                    kernel::chunk_count(table.len(), DEFAULT_MORSEL_ROWS),
-                    cost.bytes,
-                    cost.runs,
-                    cost.encoded_bytes,
-                )
-            }
-            None => {
-                // The scalar reference dereferences every column, so it
-                // touches the decoded (plain) payload whatever the
-                // column's physical encoding.
-                let bytes = table.len() as u64 * decoded_row_bytes(&compiled, table);
-                (filter_scalar(table, &compiled), ScanKernel::Scalar, 0, bytes, 0, 0)
-            }
+        let terms = compile_vectorized(&compiled, table);
+        let cost = scan_cost(&terms);
+        let used = if cost.rle_terms > 0 {
+            ScanKernel::Rle
+        } else if cost.for_terms > 0 {
+            ScanKernel::For
+        } else {
+            ScanKernel::Vectorized
         };
+        let rows = filter_vectorized(table.len(), &terms);
         let metrics = tabula_obs::global();
         metrics.counter("predicate.scan_rows").add(table.len() as u64);
         metrics.counter("predicate.kernel_ns").add(started.elapsed().as_nanos() as u64);
         metrics
             .counter(match used {
                 ScanKernel::Vectorized => "predicate.kernel.vectorized",
-                ScanKernel::Scalar => "predicate.kernel.scalar",
                 ScanKernel::Rle => "predicate.kernel.rle",
                 ScanKernel::For => "predicate.kernel.for",
             })
             .inc();
-        if runs > 0 {
-            metrics.counter("scan.runs").add(runs);
+        if cost.runs > 0 {
+            metrics.counter("scan.runs").add(cost.runs);
         }
-        if encoded_bytes > 0 {
-            metrics.counter("scan.encoded_bytes").add(encoded_bytes);
+        if cost.encoded_bytes > 0 {
+            metrics.counter("scan.encoded_bytes").add(cost.encoded_bytes);
         }
         let stats = ScanStats {
             rows_scanned: table.len() as u64,
             rows_matched: rows.len() as u64,
-            bytes_scanned: bytes,
-            runs_scanned: runs,
-            chunks,
+            bytes_scanned: cost.bytes,
+            runs_scanned: cost.runs,
+            chunks: kernel::chunk_count(table.len(), DEFAULT_MORSEL_ROWS),
             kernel: used,
         };
         Ok((rows, stats))
     }
 
-    /// Evaluate over an explicit subset of rows of `table`, preserving order.
+    /// Evaluate over an explicit subset of rows of `table`, preserving
+    /// order, one row at a time. Over `table.all_rows()` this is the
+    /// reference the chunked [`filter`](Self::filter) is checked against.
     pub fn filter_rows(&self, table: &Table, rows: &[RowId]) -> Result<Vec<RowId>> {
         let compiled = self.compile(table)?;
         let mut out = Vec::new();
@@ -223,38 +205,19 @@ impl Predicate {
     }
 }
 
-/// Row-at-a-time reference scan.
-fn filter_scalar(table: &Table, compiled: &[CompiledTerm]) -> Vec<RowId> {
-    let pool = Pool::global();
-    let partials = pool.par_chunks(table.len(), DEFAULT_MORSEL_ROWS, |range| {
-        let mut out = Vec::new();
-        'rows: for row in range {
-            for term in compiled {
-                if !term.matches(table, row) {
-                    continue 'rows;
-                }
-            }
-            out.push(row as RowId);
-        }
-        out
-    });
-    partials.concat()
-}
-
 /// Chunked columnar scan: per chunk, the first term seeds the selection
 /// vector (run-encoded terms emit their kept row *ranges* directly, so a
 /// clustered scan never evaluates a per-row predicate), then each
 /// remaining term kernel narrows it in place. Surviving ids append in
 /// chunk (hence row) order.
 fn filter_vectorized(len: usize, terms: &[VecTerm<'_>]) -> Vec<RowId> {
-    let chunk = kernel::chunk_rows();
     let pool = Pool::global();
     let partials = pool.par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
         let mut out = Vec::new();
-        let mut sel = SelectionVector::with_capacity(chunk);
+        let mut sel = SelectionVector::with_capacity(CHUNK_ROWS);
         let mut start = range.start;
         while start < range.end {
-            let end = range.end.min(start + chunk);
+            let end = range.end.min(start + CHUNK_ROWS);
             match terms.first() {
                 Some(first) => first.apply_full(start..end, &mut sel),
                 None => sel.fill_range(start..end),
@@ -288,8 +251,7 @@ pub struct ScanStats {
     /// RLE runs the encoded terms processed (0 when no term ran on
     /// run-encoded data).
     pub runs_scanned: u64,
-    /// Execution chunks the scan was carved into (0 for the scalar path,
-    /// which iterates rows directly).
+    /// Execution chunks the scan was carved into.
     pub chunks: u64,
     /// Which kernel implementation ran.
     pub kernel: ScanKernel,
@@ -298,10 +260,8 @@ pub struct ScanStats {
 /// Which filter implementation a scan ran (reported by EXPLAIN ANALYZE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanKernel {
-    /// Row-at-a-time reference path.
-    #[default]
-    Scalar,
     /// Chunked columnar kernels over a selection vector.
+    #[default]
     Vectorized,
     /// Chunked kernels with at least one term evaluated per RLE run.
     Rle,
@@ -314,7 +274,6 @@ impl ScanKernel {
     /// Short lowercase name for traces and EXPLAIN output.
     pub fn name(self) -> &'static str {
         match self {
-            ScanKernel::Scalar => "scalar",
             ScanKernel::Vectorized => "vectorized",
             ScanKernel::Rle => "rle",
             ScanKernel::For => "for",
@@ -357,8 +316,8 @@ enum VecTerm<'t> {
     I64AsF64 { data: &'t [i64], op: CmpOp, rhs: f64 },
     F64 { data: &'t [f64], op: CmpOp, rhs: f64 },
     // String ordering against a literal: one `&str` compare per *distinct
-    // code* at compile time, then a per-row table lookup — the scalar path
-    // allocates a `String` per row here.
+    // code* at compile time, then a per-row table lookup — no `String` is
+    // materialized per row.
     StrLut { codes: &'t [u32], lut: Vec<bool> },
     // A term over an RLE column, any payload type: the comparison ran
     // once per run at compile time, so a scan consults one bool per run
@@ -539,24 +498,6 @@ fn scan_cost(terms: &[VecTerm<'_>]) -> ScanCost {
     cost
 }
 
-/// Decoded bytes per row the scalar reference touches per term: one
-/// dictionary code (4 B) for categorical equality and string terms, one
-/// typed value otherwise.
-fn decoded_row_bytes(compiled: &[CompiledTerm], table: &Table) -> u64 {
-    compiled
-        .iter()
-        .map(|t| match t {
-            CompiledTerm::CatEq { .. } => 4,
-            CompiledTerm::General { col, .. } => match table.column(*col).column_type() {
-                crate::types::ColumnType::Str => 4,
-                crate::types::ColumnType::Point => 16,
-                _ => 8,
-            },
-            CompiledTerm::Never => 0,
-        })
-        .sum()
-}
-
 /// Per-code match table for a string ordering term.
 fn str_lut(dict: &Dictionary, op: CmpOp, rhs: &str) -> Vec<bool> {
     (0..dict.len() as u32).map(|c| op.eval_ord(dict.decode(c).cmp(rhs))).collect()
@@ -656,7 +597,7 @@ fn retain_i64(sel: &mut SelectionVector, data: &[i64], op: CmpOp, rhs: i64) {
 
 /// Float comparison kernels with `partial_cmp` semantics: a `NaN` on
 /// either side matches nothing — note `Ne` is `x < rhs || x > rhs`, *not*
-/// `x != rhs` (which would match `NaN`, unlike the scalar reference).
+/// `x != rhs` (which would match `NaN`, unlike [`compare`]).
 fn retain_f64(sel: &mut SelectionVector, op: CmpOp, rhs: f64, at: impl Fn(u32) -> f64) {
     match op {
         CmpOp::Eq => sel.retain(|r| at(r) == rhs),
@@ -801,20 +742,11 @@ mod tests {
 
     #[test]
     fn stats_report_kernel_and_chunks() {
-        use crate::kernel::{set_kernel_mode, KernelMode};
         let t = table();
-        let p = Predicate::eq("payment", "cash");
-        let prev = crate::kernel::kernel_mode();
-        set_kernel_mode(KernelMode::ForceVectorized);
-        let (_, vstats) = p.filter_with_stats(&t).unwrap();
-        set_kernel_mode(KernelMode::ForceScalar);
-        let (_, sstats) = p.filter_with_stats(&t).unwrap();
-        set_kernel_mode(prev);
-        assert_eq!(vstats.kernel, ScanKernel::Vectorized);
-        assert_eq!(vstats.chunks, 1); // 5 rows fit one chunk
-        assert_eq!(sstats.kernel, ScanKernel::Scalar);
-        assert_eq!(sstats.chunks, 0);
-        assert_eq!(vstats.rows_matched, sstats.rows_matched);
+        let (_, stats) = Predicate::eq("payment", "cash").filter_with_stats(&t).unwrap();
+        assert_eq!(stats.kernel, ScanKernel::Vectorized);
+        assert_eq!(stats.chunks, 1); // 5 rows fit one chunk
+        assert_eq!(stats.rows_matched, 3);
     }
 
     #[test]
@@ -826,11 +758,11 @@ mod tests {
     }
 
     /// Every (column type, literal type, op) combination must agree
-    /// between the scalar reference and the vectorized kernels — NaN,
-    /// string ordering, and incomparable pairs included.
+    /// between the chunked kernels and the row-at-a-time reference
+    /// ([`Predicate::filter_rows`]) — NaN, string ordering, and
+    /// incomparable pairs included.
     #[test]
-    fn scalar_and_vectorized_filters_agree() {
-        use crate::kernel::{set_kernel_mode, KernelMode};
+    fn vectorized_filters_agree_with_row_reference() {
         let schema = Schema::new(vec![
             Field::new("s", ColumnType::Str),
             Field::new("i", ColumnType::Int64),
@@ -848,34 +780,21 @@ mod tests {
         let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
         let lits: Vec<Value> =
             vec!["b".into(), "aa".into(), 5i64.into(), 1.5f64.into(), f64::NAN.into(), 0i64.into()];
-        let prev = crate::kernel::kernel_mode();
         for col in ["s", "i", "f", "p"] {
             for &op in &ops {
                 for lit in &lits {
                     let p = Predicate::all().and(col, op, lit.clone());
-                    set_kernel_mode(KernelMode::ForceScalar);
-                    let scalar = p.filter(&t).unwrap();
-                    set_kernel_mode(KernelMode::ForceVectorized);
-                    let vector = p.filter(&t).unwrap();
-                    assert_eq!(scalar, vector, "col={col} op={op:?} lit={lit:?}");
+                    let reference = p.filter_rows(&t, &t.all_rows()).unwrap();
+                    assert_eq!(p.filter(&t).unwrap(), reference, "col={col} op={op:?} lit={lit:?}");
                 }
             }
         }
-        set_kernel_mode(prev);
     }
 
-    /// A clone of `t` with every encodable column force-encoded — built
-    /// without touching the global encoding mode, so parallel tests are
-    /// undisturbed. Force picks the smaller of RLE/FOR per column.
+    /// A clone of `t` with every encodable column force-encoded. Force
+    /// picks the smaller of RLE/FOR per column.
     fn force_encoded(t: &Table) -> Table {
-        let cols = (0..t.schema().fields().len())
-            .map(|i| {
-                let mut c = t.column(i).clone();
-                c.encode_for_freeze(crate::encoding::EncodingMode::Force);
-                c
-            })
-            .collect();
-        Table::from_columns(t.schema().clone(), cols).unwrap()
+        t.with_encoding(crate::EncodingMode::Force)
     }
 
     /// 3 000 rows spanning every pushdown shape: `s` and `grp` cluster in
@@ -914,12 +833,12 @@ mod tests {
         b.finish()
     }
 
-    /// Every pushdown variant must agree with the row-at-a-time scalar
-    /// reference ([`Predicate::matches`]) on a force-encoded table —
+    /// Every pushdown variant must agree with the row-at-a-time reference
+    /// ([`Predicate::matches`]) on a force-encoded table —
     /// RLE range emission, run-cursor narrowing, and FOR bit extraction,
     /// across chunk boundaries, NaN runs, and `-0.0`.
     #[test]
-    fn encoded_filters_agree_with_scalar_reference() {
+    fn encoded_filters_agree_with_row_reference() {
         let t = force_encoded(&run_table());
         let preds = vec![
             Predicate::eq("s", "cash"),

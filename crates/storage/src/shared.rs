@@ -72,8 +72,9 @@ impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
 
 /// A column's backing store: an owned, growable `Vec<T>` (built data), a
 /// [`SharedSlice`] into a refcounted allocation (restored data), or an
-/// [`EncodedBuf`] holding an RLE/FOR payload (frozen data under
-/// `TABULA_ENCODING`, see [`crate::encoding`]).
+/// [`EncodedBuf`] holding an RLE/FOR payload (frozen data the freeze's
+/// [`EncodingMode`](crate::EncodingMode) chose to encode, see
+/// [`crate::encoding`]).
 ///
 /// Reads go through `Deref<Target = [T]>`, identical for all variants —
 /// an encoded backing materializes its shared decode cache on first

@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::dictionary::Dictionary;
-use crate::encoding::RunsView;
+use crate::encoding::{EncodingMode, RunsView};
 use crate::fx::FxHashMap;
 use crate::schema::Schema;
 use crate::shared::ColumnBuf;
@@ -347,6 +347,15 @@ impl Table {
         self.len * self.row_bytes()
     }
 
+    /// The same rows with every column re-frozen under `mode`: decoded to
+    /// plain, then encoded exactly as a fresh freeze under `mode` would.
+    /// The differential lanes, tests and benchmarks compare a table's
+    /// `Off` and `Force` twins; answers must never differ between them.
+    pub fn with_encoding(&self, mode: EncodingMode) -> Table {
+        let columns = self.columns.iter().map(|c| c.with_encoding(mode)).collect();
+        Table::from_columns(self.schema.clone(), columns).expect("re-encoding keeps the shape")
+    }
+
     /// All row ids, `0..len`.
     pub fn all_rows(&self) -> Vec<RowId> {
         (0..self.len as RowId).collect()
@@ -451,16 +460,16 @@ impl TableBuilder {
         self.len == 0
     }
 
-    /// Freeze into an immutable [`Table`], applying the active
-    /// `TABULA_ENCODING` policy per column (see [`crate::encoding`]):
-    /// clustered or narrow-range payloads leave the builder RLE- or
-    /// FOR-encoded, everything else stays plain. Either way the frozen
-    /// rows read back bit-identically.
+    /// Freeze into an immutable [`Table`], encoding each column under
+    /// [`EncodingMode::Auto`] (see [`crate::encoding`]): clustered or
+    /// narrow-range payloads leave the builder RLE- or FOR-encoded,
+    /// everything else stays plain. Either way the frozen rows read back
+    /// bit-identically; [`Table::with_encoding`] re-freezes under another
+    /// mode.
     pub fn finish(self) -> Table {
-        let mode = crate::encoding::encoding_mode();
         let mut columns = self.columns;
         for c in &mut columns {
-            c.encode_for_freeze(mode);
+            c.encode_for_freeze(EncodingMode::Auto);
         }
         let n = columns.len();
         Table {

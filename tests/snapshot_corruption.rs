@@ -247,16 +247,8 @@ fn no_unprotected_byte_anywhere_in_the_file() {
 /// A snapshot whose columns are all force-encoded, so the image carries
 /// `:rle` / `:for` blocks instead of raw column words.
 fn encoded_snapshot_bytes() -> Vec<u8> {
-    use tabula::storage::{EncodingMode, Table};
-    let t = example_dcm_table();
-    let cols = (0..t.schema().fields().len())
-        .map(|i| {
-            let mut c = t.column(i).clone();
-            c.encode_for_freeze(EncodingMode::Force);
-            c
-        })
-        .collect();
-    let t = Arc::new(Table::from_columns(t.schema().clone(), cols).unwrap());
+    use tabula::storage::EncodingMode;
+    let t = Arc::new(example_dcm_table().with_encoding(EncodingMode::Force));
     let fare = t.schema().index_of("fare").unwrap();
     let cube =
         SamplingCubeBuilder::new(Arc::clone(&t), &["D", "C", "M"], MeanLoss::new(fare), 0.10)
