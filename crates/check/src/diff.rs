@@ -8,7 +8,7 @@
 
 use crate::generate::{gen_where_terms, CaseSpec};
 use crate::oracle::{naive_cube, naive_filter, LossSpec, NaiveCube};
-use crate::reference::diff_kernels;
+use crate::reference::{diff_kernels, diff_realrun};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -197,6 +197,9 @@ pub fn diff_with_loss<L: AccuracyLoss + Clone>(
     // leans on, on the case's table frozen plain and fully encoded,
     // against its row-at-a-time reference in `crate::reference`.
     diff_kernels(case, &table)?;
+    // The real-run lane: the scatter fetch, its folded states and the
+    // SamGraph join against the paper's plans in `crate::reference`.
+    diff_realrun(case, &table, &loss)?;
 
     // The encoding-differential lane: rebuild every materialization mode
     // over the table re-frozen under `Off` and `Force`, and require byte

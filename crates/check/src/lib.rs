@@ -44,9 +44,13 @@
 //!   counts;
 //! * an `EmptyDomain` answer for a query that matches raw rows;
 //! * any production storage operator (filter, group-by, finest-cuboid
-//!   aggregation, rollup, semi-join) whose output differs from its
-//!   row-at-a-time reference in [`reference`], on the case's table frozen
-//!   plain and fully encoded;
+//!   aggregation, finest-cell ids, rollup, semi-join) whose output
+//!   differs from its row-at-a-time reference in [`reference`](mod@reference), on the
+//!   case's table frozen plain and fully encoded;
+//! * a real-run entry (cell, rows, sample, folded state) or a SamGraph
+//!   edge list that differs from the paper-plan references in
+//!   [`reference`](mod@reference) — Inequality-1 fetch and exhaustive pair join — at
+//!   any swept thread count;
 //! * with the snapshot lane on ([`Lanes::snapshot`], `fuzz_check
 //!   --snapshot`): a thawed `tabula-store` snapshot whose fingerprint,
 //!   workload answers, or re-frozen bytes differ from the original cube;

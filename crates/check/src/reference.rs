@@ -1,6 +1,6 @@
 //! Row-at-a-time reference implementations of the `tabula-storage`
-//! operators, and the kernel lane that checks the production kernels
-//! against them.
+//! operators and of two build stages, and the lanes that check the
+//! production code against them.
 //!
 //! The references are the slice-keyed paths the bit-packed storage
 //! kernels replaced. Each keeps the production operator's morsel
@@ -10,14 +10,29 @@
 //! tuples instead of bit-packed words, no chunking, no run or frame
 //! pushdown). Keys of any width work here. The filter reference is
 //! [`Predicate::filter_rows`] over every row id.
+//!
+//! The build-stage references are the paper's own plans: the real-run
+//! fetch of Algorithm 2, where Inequality 1 picks per cuboid between
+//! prune-then-group and a full group-by ([`fetch_reference`]), and the
+//! exhaustive SamGraph join that prices every ordered pair from states
+//! folded straight from the raw rows ([`samgraph_reference`]). The
+//! real-run lane ([`diff_realrun`]) holds the scatter fetch, its folded
+//! states and the interval join to them.
 
-use crate::diff::Divergence;
+use crate::diff::{Divergence, THREAD_COUNTS};
 use crate::generate::{gen_where_terms, CaseSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use tabula_core::dryrun::{dry_run, DryRun};
+use tabula_core::loss::AccuracyLoss;
+use tabula_core::realrun::{real_run, CubeEntry};
+use tabula_core::samgraph::{build_samgraph, SamGraphConfig};
+use tabula_core::serfling::draw_global_sample;
 use tabula_par::{Pool, DEFAULT_MORSEL_ROWS};
 use tabula_storage::agg::SumCount;
-use tabula_storage::cube::{finest_cuboid, rollup_from_finest, CubeResult, CuboidMask};
+use tabula_storage::cube::{
+    finest_cell_ids, finest_cuboid, rollup_from_finest, CellKey, CubeResult, CuboidMask,
+};
 use tabula_storage::group::group_rows;
 use tabula_storage::join::semi_join;
 use tabula_storage::table::Cat;
@@ -173,6 +188,30 @@ where
     Ok(out)
 }
 
+/// Whether [`finest_cell_ids`] over `cols` equals its reference: one
+/// serial pass numbering each row's slice key in first-seen order, with
+/// every id's key and row count.
+pub fn finest_ids_match(table: &Table, cols: &[usize]) -> Result<bool> {
+    let fine = finest_cell_ids(table, cols)?;
+    let cats = cats(table, cols)?;
+    let keys = RowKeys::gather_range(&code_slices(&cats), 0..table.len());
+    let mut index: FxHashMap<&[u32], u32> = FxHashMap::default();
+    let (mut ids, mut counts) = (Vec::with_capacity(table.len()), Vec::new());
+    for row in 0..table.len() {
+        let key = keys.key(row);
+        let next = counts.len() as u32;
+        let id = *index.entry(key).or_insert(next);
+        if id == next {
+            counts.push(0);
+        }
+        counts[id as usize] += 1;
+        ids.push(id);
+    }
+    Ok(fine.ids() == ids
+        && fine.counts() == counts
+        && index.iter().all(|(key, &id)| fine.key(id) == *key))
+}
+
 /// Reference for [`rollup_from_finest`] on compact `Vec<u32>` keys: the
 /// same level-synchronous derivation, each child from one parent scanned
 /// in ascending lexicographic key order, so every state merges in the
@@ -238,6 +277,191 @@ pub fn semi_join_reference(
     Ok((0..table.len()).filter(|&i| cells.contains(keys.key(i))).map(|i| i as RowId).collect())
 }
 
+/// The fetch plan the paper's cost model picks for one cuboid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CuboidPlan {
+    /// Equi-join against the iceberg-cell list, then group.
+    PruneThenGroup,
+    /// Full-table group-by.
+    GroupAll,
+}
+
+/// The paper's Inequality 1. `n` = table cardinality, `i` = iceberg cells
+/// in the cuboid, `k` = all cells in the cuboid. Returns the chosen plan.
+pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
+    // Degenerate cuboids (k < 2) leave log_k undefined; a full group-by of
+    // one group is trivially right.
+    if k < 2 || i == 0 {
+        return CuboidPlan::GroupAll;
+    }
+    let (n, i, k) = (n as f64, i as f64, k as f64);
+    let log_k = |x: f64| x.max(1.0).ln() / k.ln();
+    let pruned_rows = (i / k) * n; // expected rows surviving the prune
+    let cost_prune = n * i + pruned_rows * log_k(pruned_rows);
+    let cost_group_all = n * log_k(n);
+    if cost_prune < cost_group_all {
+        CuboidPlan::PruneThenGroup
+    } else {
+        CuboidPlan::GroupAll
+    }
+}
+
+/// Reference for the real run's fetch (paper Algorithm 2): per iceberg
+/// cuboid, finest first then by mask, Inequality 1 picks semi-join +
+/// [`group_rows`] or a full [`group_by`]; the groups are filtered to the
+/// iceberg cells and sorted by compact key. Rows come out ascending.
+pub fn fetch_reference<S>(
+    table: &Table,
+    cols: &[usize],
+    dry: &DryRun<S>,
+) -> Result<Vec<(CellKey, Vec<RowId>)>> {
+    let mut masks: Vec<CuboidMask> = dry.iceberg.keys().copied().collect();
+    masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
+    let mut work = Vec::with_capacity(dry.iceberg_count);
+    for mask in masks {
+        let iceberg_keys = &dry.iceberg[&mask];
+        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
+        let k_cells = dry.states.cuboids[&mask].len();
+        let iceberg_set: FxHashSet<Vec<u32>> = iceberg_keys.iter().cloned().collect();
+        let grouped = match choose_plan(table.len(), iceberg_keys.len(), k_cells) {
+            CuboidPlan::PruneThenGroup => {
+                group_rows(table, &attrs, &semi_join(table, &attrs, &iceberg_set)?)?
+            }
+            CuboidPlan::GroupAll => group_by(table, &attrs)?,
+        };
+        let mut cells: Vec<(Vec<u32>, Vec<RowId>)> =
+            grouped.groups.into_iter().filter(|(key, _)| iceberg_set.contains(key)).collect();
+        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        work.extend(
+            cells
+                .into_iter()
+                .map(|(compact, rows)| (CellKey::from_compact(mask, cols.len(), &compact), rows)),
+        );
+    }
+    Ok(work)
+}
+
+/// `loss`'s state of `rows`, folded in order against an empty sample.
+fn fresh_fold<L: AccuracyLoss>(loss: &L, table: &Table, rows: &[RowId]) -> L::State {
+    let empty = loss.prepare(table, &[]);
+    let mut state = L::State::default();
+    for &r in rows {
+        loss.fold(&empty, &mut state, table, r);
+    }
+    state
+}
+
+/// Reference for the SamGraph join of a sample-independent loss: fold
+/// every cell's state from its raw rows, then price every ordered pair
+/// with `finish`. `edges[u]` is `[u, then ascending v]`.
+pub fn samgraph_reference<L: AccuracyLoss>(
+    table: &Table,
+    loss: &L,
+    theta: f64,
+    entries: &[CubeEntry<L::State>],
+) -> Vec<Vec<u32>> {
+    assert!(!loss.state_depends_on_sample(), "the exhaustive join prices folded states");
+    let states: Vec<L::State> = entries.iter().map(|e| fresh_fold(loss, table, &e.rows)).collect();
+    (0..entries.len())
+        .map(|u| {
+            let ctx = loss.prepare(table, &entries[u].sample);
+            let mut out = vec![u as u32];
+            for (v, state) in states.iter().enumerate() {
+                if u != v && loss.finish(&ctx, state) <= theta {
+                    out.push(v as u32);
+                }
+            }
+            out
+        })
+        .collect()
+}
+
+/// The real-run lane: at every thread count of [`THREAD_COUNTS`], run the
+/// production dry and real runs of the case and require, entry by entry,
+/// the cell and rows of [`fetch_reference`], the sample a fresh greedy
+/// draw over those rows gives, and — for sample-independent losses — a
+/// state equal to a fresh fold of the rows (compared through its `Debug`
+/// image, which prints every float exactly) and the SamGraph edges of
+/// [`samgraph_reference`]. Divergences report as `realrun_differential`.
+/// Returns the number of entries compared.
+pub fn diff_realrun<L: AccuracyLoss>(
+    case: &CaseSpec,
+    table: &Table,
+    loss: &L,
+) -> std::result::Result<usize, Divergence> {
+    let fail = |threads: usize, what: String| Divergence {
+        check: "realrun_differential",
+        detail: format!("threads={threads}: {what}"),
+    };
+    let col = |a: &String| table.schema().index_of(a).expect("cubed attribute in the case schema");
+    let cols: Vec<usize> = case.attrs.iter().map(col).collect();
+    let global = draw_global_sample(table, case.serfling_config().sample_size(), case.build_seed);
+    let ctx = loss.prepare(table, &global);
+    let independent = !loss.state_depends_on_sample();
+    let mut compared = 0;
+    for &threads in &THREAD_COUNTS {
+        tabula_par::scoped_threads(threads, || {
+            let failed = |stage: &str, e: &dyn std::fmt::Display| {
+                fail(threads, format!("{stage} failed: {e}"))
+            };
+            let dry =
+                dry_run(table, &cols, loss, &ctx, case.theta).map_err(|e| failed("dry run", &e))?;
+            let rr = real_run(table, &cols, loss, case.theta, &dry, threads)
+                .map_err(|e| failed("real run", &e))?;
+            let want =
+                fetch_reference(table, &cols, &dry).map_err(|e| failed("reference fetch", &e))?;
+            if rr.entries.len() != want.len() {
+                return Err(fail(
+                    threads,
+                    format!("{} entries, the reference fetch has {}", rr.entries.len(), want.len()),
+                ));
+            }
+            for (e, (cell, rows)) in rr.entries.iter().zip(&want) {
+                if (&e.cell, &e.rows) != (cell, rows) {
+                    return Err(fail(
+                        threads,
+                        format!("entry {} differs from the reference fetch", e.cell),
+                    ));
+                }
+                if e.sample != loss.sample_greedy(table, rows, case.theta) {
+                    return Err(fail(
+                        threads,
+                        format!("entry {}: sample differs from a fresh draw", e.cell),
+                    ));
+                }
+                let fresh = independent.then(|| fresh_fold(loss, table, rows));
+                if format!("{:?}", e.state) != format!("{fresh:?}") {
+                    return Err(fail(
+                        threads,
+                        format!(
+                            "entry {}: state {:?}, a fresh fold gives {fresh:?}",
+                            e.cell, e.state
+                        ),
+                    ));
+                }
+            }
+            if independent {
+                let graph = build_samgraph(
+                    table,
+                    loss,
+                    case.theta,
+                    &rr.entries,
+                    &SamGraphConfig::default(),
+                );
+                if graph.edges != samgraph_reference(table, loss, case.theta, &rr.entries) {
+                    return Err(fail(
+                        threads,
+                        "SamGraph edges differ from the exhaustive join".into(),
+                    ));
+                }
+            }
+            compared += rr.entries.len();
+            Ok(())
+        })?;
+    }
+    Ok(compared)
+}
+
 /// The operator-level kernel lane: on the case's table frozen plain
 /// (`EncodingMode::Off`) and fully encoded (`EncodingMode::Force`), run
 /// every production storage operator the build leans on and require
@@ -292,6 +516,7 @@ pub fn diff_kernels(case: &CaseSpec, table: &Table) -> std::result::Result<usize
             let (got, want) = (group_rows(&t, &cols, rows), group_reference(&t, &cols, Some(rows)));
             check(&format!("group_rows {order}"), same(got.map(groups), want.map(groups)))?;
         }
+        check("finest_cell_ids", finest_ids_match(&t, &cols))?;
         let fold = |s: &mut SumCount, row: RowId| s.add((row as f64).sqrt());
         let failed = |op: &str, e: StorageError| fail(op, format!("failed: {e}"));
         let finest = finest_cuboid(&t, &cols, SumCount::default, fold)
@@ -341,6 +566,18 @@ mod tests {
     use crate::generate::gen_case;
     use tabula_storage::{ColumnType, Field, Schema, TableBuilder, Value};
 
+    #[test]
+    fn cost_model_prefers_prune_for_few_icebergs() {
+        // A single iceberg cell in a wide cuboid: join wins. (The paper's
+        // literal cost model prices the join at N·i, so prune only wins
+        // for very small i relative to log_k(N).)
+        assert_eq!(choose_plan(1_000_000, 1, 5_000), CuboidPlan::PruneThenGroup);
+        // Most cells iceberg: group-all wins (the N·i term explodes).
+        assert_eq!(choose_plan(1_000_000, 4_000, 5_000), CuboidPlan::GroupAll);
+        // Degenerate cuboid.
+        assert_eq!(choose_plan(100, 1, 1), CuboidPlan::GroupAll);
+    }
+
     /// The kernel lane passes on pinned fuzz cases.
     #[test]
     fn kernel_lane_is_clean_on_pinned_seeds() {
@@ -350,6 +587,21 @@ mod tests {
                 diff_kernels(&case, &case.table()).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
             assert!(compared > 10, "seed {seed}: only {compared} operator calls compared");
         }
+    }
+
+    /// The real-run lane compares entries on pinned mean-loss cases (the
+    /// loss whose SamGraph takes the interval join).
+    #[test]
+    fn realrun_lane_is_clean_on_pinned_seeds() {
+        let mut compared = 0;
+        for seed in 0..40 {
+            let case = gen_case(seed);
+            let crate::oracle::LossSpec::Mean { attr } = &case.loss else { continue };
+            let table = case.table();
+            let loss = tabula_core::loss::MeanLoss::new(table.schema().index_of(attr).unwrap());
+            compared += diff_realrun(&case, &table, &loss).unwrap_or_else(|d| panic!("{d}"));
+        }
+        assert!(compared > 20, "only {compared} real-run entries compared");
     }
 
     /// Clustered columns (RLE), distinct ascending ints (FOR) and a

@@ -6,12 +6,12 @@
 //! `StorageError::KeyTooWide` instead of panicking.
 
 use std::sync::Arc;
-use tabula_check::reference::{diff_kernels, rollup_reference};
+use tabula_check::reference::{diff_kernels, finest_ids_match, group_reference, rollup_reference};
 use tabula_check::{CaseSpec, LossSpec};
 use tabula_core::loss::MeanLoss;
 use tabula_core::{CoreError, SamplingCubeBuilder};
 use tabula_storage::agg::Count;
-use tabula_storage::cube::{finest_cuboid, rollup_from_finest};
+use tabula_storage::cube::{finest_cell_ids, finest_cuboid, rollup_from_finest};
 use tabula_storage::join::semi_join;
 use tabula_storage::{
     group_by, ColumnType, FxHashMap, FxHashSet, KeyLayout, StorageError, Table, Value,
@@ -81,6 +81,28 @@ fn operators_on_keys_over_64_bits_match_the_references() {
 }
 
 #[test]
+fn finest_cell_ids_over_64_bits_match_the_group_reference() {
+    let case = case(7, 1024, 8, 8 * 1024 + 100);
+    let table = case.table();
+    let cols: Vec<usize> = (0..7).collect();
+    let bits = KeyLayout::from_cardinalities(&cat_cards(&table, &cols)).unwrap().total_bits();
+    assert_eq!(bits, 70);
+    let fine = finest_cell_ids(&table, &cols).unwrap();
+    assert!(finest_ids_match(&table, &cols).unwrap());
+    // Rows labelled with each id are exactly that key's reference group.
+    let mut rows_of: Vec<Vec<u32>> = vec![Vec::new(); fine.len()];
+    for (row, &id) in fine.ids().iter().enumerate() {
+        rows_of[id as usize].push(row as u32);
+    }
+    let groups = group_reference(&table, &cols, None).unwrap().groups;
+    assert_eq!(groups.len(), fine.len());
+    for (id, rows) in rows_of.iter().enumerate() {
+        assert_eq!(&groups[fine.key(id as u32)], rows, "finest cell {id}");
+        assert_eq!(fine.counts()[id] as usize, rows.len());
+    }
+}
+
+#[test]
 fn keys_over_128_bits_are_a_typed_error() {
     // Thirteen columns of 1024 values: 130 bits.
     let case = case(13, 1024, 1, 1024);
@@ -95,6 +117,7 @@ fn keys_over_128_bits_are_a_typed_error() {
     );
     let cells: FxHashSet<Vec<u32>> = [vec![0; 13]].into_iter().collect();
     assert_eq!(semi_join(&table, &cols, &cells).unwrap_err(), too_wide);
+    assert_eq!(finest_cell_ids(&table, &cols).unwrap_err(), too_wide);
     // A finest map whose observed codes need more than 128 bits cannot be
     // rolled up either; the reference (slice keys) still can.
     let finest: FxHashMap<Vec<u32>, Count> =

@@ -7,7 +7,7 @@
 //! the benchmark harness share one code path per mode.
 //!
 //! The storage primitives the stages lean on — predicate filter, group-by,
-//! finest-cuboid aggregation, lattice rollup, semi-join — each run as one
+//! finest-cuboid aggregation, lattice rollup, finest-cell labelling — each run as one
 //! chunked kernel over bit-packed dictionary codes (`u64` keys up to 64
 //! bits, `u128` up to 128, see [`tabula_storage::kernel`]); the build
 //! produces byte-identical cubes for any column encoding and at any
@@ -16,7 +16,7 @@
 use crate::cube::{BuildStats, SamplingCube};
 use crate::dryrun::dry_run;
 use crate::loss::AccuracyLoss;
-use crate::realrun::{real_run, CubeEntry};
+use crate::realrun::{fold_state, real_run, CubeEntry};
 use crate::samgraph::{build_samgraph, SamGraphConfig};
 use crate::selection::select_representatives;
 use crate::serfling::{draw_global_sample, SerflingConfig};
@@ -164,8 +164,6 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
                 stats.real_run = real_span.stop();
                 stats.cuboids_processed = rr.stats.cuboids_processed;
                 stats.cuboids_skipped = rr.stats.cuboids_skipped;
-                stats.prune_plans = rr.stats.prune_plans;
-                stats.group_all_plans = rr.stats.group_all_plans;
 
                 let selection = if self.mode == MaterializationMode::Tabula {
                     let sel_span = span!("build.selection", "samples={}", rr.entries.len());
@@ -248,7 +246,7 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
         &self,
         cols: &[usize],
         iceberg_ctx: Option<&L::SampleCtx>,
-    ) -> Result<Vec<CubeEntry>> {
+    ) -> Result<Vec<CubeEntry<L::State>>> {
         let n = cols.len();
         let mut entries = Vec::new();
         for mask in CuboidMask::enumerate(n) {
@@ -269,10 +267,12 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
                     }
                 }
                 let sample = self.loss.sample_greedy(&self.table, &rows, self.theta);
+                let state = fold_state(&self.loss, &self.table, &rows);
                 entries.push(CubeEntry {
                     cell: CellKey::from_compact(mask, n, &compact),
                     rows,
                     sample,
+                    state,
                 });
             }
         }
@@ -282,15 +282,14 @@ impl<L: AccuracyLoss> SamplingCubeBuilder<L> {
 
 /// Publish one build's statistics into `registry`: stage latencies as
 /// histograms (so repeated builds accumulate distributions), structural
-/// numbers as gauges, and plan choices as counters.
+/// numbers as gauges, and real-run cuboid counts as counters.
 fn publish_build_metrics(registry: &obs::Registry, stats: &BuildStats) {
     registry.histogram("build.dry_run").record_duration(stats.dry_run);
     registry.histogram("build.real_run").record_duration(stats.real_run);
     registry.histogram("build.selection").record_duration(stats.selection);
     registry.histogram("build.total").record_duration(stats.total);
     registry.counter("build.count").inc();
-    registry.counter("real_run.plan.prune").add(stats.prune_plans as u64);
-    registry.counter("real_run.plan.group_all").add(stats.group_all_plans as u64);
+    registry.counter("real_run.cuboids_processed").add(stats.cuboids_processed as u64);
     registry.counter("real_run.cuboids_skipped").add(stats.cuboids_skipped as u64);
     registry.gauge("cube.total_cells").set(stats.total_cells as i64);
     registry.gauge("cube.iceberg_cells").set(stats.iceberg_cells as i64);
@@ -495,10 +494,7 @@ mod tests {
         let s = cube.stats();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("build.count"), 1);
-        assert_eq!(
-            snap.counter("real_run.plan.prune") + snap.counter("real_run.plan.group_all"),
-            s.cuboids_processed as u64
-        );
+        assert_eq!(snap.counter("real_run.cuboids_processed"), s.cuboids_processed as u64);
         assert_eq!(snap.gauges["cube.total_cells"], s.total_cells as i64);
         assert_eq!(snap.gauges["cube.iceberg_cells"], s.iceberg_cells as i64);
         assert_eq!(snap.gauges["cube.samples_after_selection"], s.samples_after_selection as i64);

@@ -83,9 +83,11 @@ pub struct BuildStats {
     pub cuboids_processed: usize,
     /// Cuboids skipped because they held no iceberg cells.
     pub cuboids_skipped: usize,
-    /// Real-run cuboids that took the prune-then-group plan.
+    /// Always 0: the real run has one fetch path (see
+    /// [`RealRunStats`](crate::realrun::RealRunStats)). Kept for the
+    /// snapshot's JSON `stats` block and benchmark records.
     pub prune_plans: usize,
-    /// Real-run cuboids that took the full group-by plan.
+    /// Always 0, like [`prune_plans`](Self::prune_plans).
     pub group_all_plans: usize,
     /// Local samples drawn before representative selection.
     pub samples_before_selection: usize,

@@ -261,9 +261,10 @@ pub fn refresh<L: AccuracyLoss>(
         })
         .count();
 
-    // 4. Real run restricted to the fresh cells.
+    // 4. Real run restricted to the fresh cells (it reads the state cube
+    //    only for its cuboid count, so the cube moves rather than clones).
     let dry_fresh = DryRun {
-        states: dry.states.clone(),
+        states: dry.states,
         iceberg: fresh,
         total_cells: dry.total_cells,
         iceberg_count: new_iceberg_count - reused.len(),

@@ -34,10 +34,11 @@
 //! 1. **Dry run** ([`dryrun`]) — one scan of the raw table builds an
 //!    algebraic loss-state cube; rolling it up identifies every iceberg
 //!    cell without materializing anything.
-//! 2. **Real run** ([`realrun`], Algorithm 2) — per iceberg cuboid, a
-//!    cost model (the paper's Inequality 1) chooses between
-//!    prune-then-group and group-everything, then local samples are drawn
-//!    for iceberg cells (in parallel).
+//! 2. **Real run** ([`realrun`], Algorithm 2) — one scan labels every
+//!    row with its finest cell, one scatter pass per iceberg cuboid
+//!    gathers its cells' rows (and folds their loss states), then local
+//!    samples are drawn for iceberg cells (in parallel). The paper's
+//!    Inequality-1 plan choice is an ablation here.
 //! 3. **Sample selection** ([`samgraph`], [`selection`]) — a
 //!    representation-relationship graph over local samples is built and a
 //!    greedy dominating set of representative samples is persisted.

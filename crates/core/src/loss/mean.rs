@@ -40,6 +40,10 @@ impl MeanLoss {
     }
 }
 
+/// Relative widening of [`MeanLoss`]'s interval-join key range: far above
+/// the few ulps of rounding in `finish` and in the range endpoints.
+const KEY_SLACK: f64 = 1e-9;
+
 /// Sample context: the sample's mean.
 pub struct MeanCtx {
     mean: Option<f64>,
@@ -71,6 +75,32 @@ impl AccuracyLoss for MeanLoss {
 
     fn finish(&self, ctx: &MeanCtx, state: &SumCount) -> f64 {
         Self::relative_error(state.mean(), ctx.mean)
+    }
+
+    fn state_key(&self, state: &SumCount) -> Option<f64> {
+        state.mean()
+    }
+
+    /// With raw mean `r` and sample mean `s`, `finish ≤ θ` means
+    /// `|r − s| ≤ θ·max(|r|, REL_EPS)`. For θ < 1 that holds only if
+    /// `r` lies between `s/(1+θ)` and `s/(1−θ)` (when `|r| ≥ REL_EPS`) or
+    /// within `REL_EPS` of `s` (when `|r| < REL_EPS`); the range is the
+    /// hull of both. `finish` rounds at most twice (subtract, divide), so
+    /// a computed `finish ≤ θ` implies the exact loss is at most
+    /// θ·(1 + `KEY_SLACK`); the hull is taken at that widened θ and its
+    /// endpoints are widened by the same relative slack for their own
+    /// rounding.
+    fn key_range(&self, ctx: &MeanCtx, theta: f64) -> Option<(f64, f64)> {
+        let s = ctx.mean.filter(|s| s.is_finite())?;
+        let t = theta * (1.0 + KEY_SLACK);
+        if !(0.0..1.0).contains(&t) {
+            return None;
+        }
+        let (a, b) = (s / (1.0 + t), s / (1.0 - t));
+        let lo = a.min(b).min(s - REL_EPS);
+        let hi = a.max(b).max(s + REL_EPS);
+        let range = (lo - lo.abs() * KEY_SLACK, hi + hi.abs() * KEY_SLACK);
+        (range.0.is_finite() && range.1.is_finite()).then_some(range)
     }
 
     fn signature(&self, table: &Table, rows: &[RowId]) -> [f64; 2] {

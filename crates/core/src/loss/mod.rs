@@ -88,7 +88,7 @@ pub fn exceeds_theta(loss: f64, theta: f64) -> bool {
 /// contract; see `MeanLoss` for the simplest reference implementation.
 pub trait AccuracyLoss: Send + Sync + 'static {
     /// Mergeable per-cell state folded from raw rows.
-    type State: AggState + Default + 'static;
+    type State: AggState + Default + std::fmt::Debug + 'static;
     /// Prepared view of a fixed sample (indexes, aggregates, ...).
     type SampleCtx: Send + Sync;
 
@@ -143,6 +143,24 @@ pub trait AccuracyLoss: Send + Sync + 'static {
     ) -> Option<f64> {
         let loss = self.loss_with_ctx(table, raw, ctx);
         (loss <= bound).then_some(loss)
+    }
+
+    /// A scalar key of a raw-data state for the SamGraph interval join,
+    /// paired with [`key_range`](Self::key_range). `None` (the default)
+    /// opts out: the join then prices every ordered pair.
+    fn state_key(&self, state: &Self::State) -> Option<f64> {
+        let _ = state;
+        None
+    }
+
+    /// A closed key interval holding the [`state_key`](Self::state_key)
+    /// of *every* state `s` with `finish(ctx, s) ≤ theta`, as computed in
+    /// floating point. It may be loose (the join re-checks every candidate
+    /// exactly) but must never exclude a true edge. `None` (the default)
+    /// opts out for this sample.
+    fn key_range(&self, ctx: &Self::SampleCtx, theta: f64) -> Option<(f64, f64)> {
+        let _ = (ctx, theta);
+        None
     }
 
     /// A low-dimensional signature of a row set, used ONLY to order

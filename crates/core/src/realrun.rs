@@ -2,18 +2,20 @@
 //! §III-B2, Algorithm 2) — materialize a local sample for every iceberg
 //! cell found by the dry run.
 //!
-//! Non-iceberg cuboids are skipped outright. For each iceberg cuboid the
-//! paper's cost model (Inequality 1) chooses between two plans for
-//! fetching the cells' raw data:
+//! Non-iceberg cuboids are skipped outright. The paper fetches each
+//! iceberg cuboid's raw rows with one of two plans picked by its cost
+//! model (Inequality 1): prune-then-group or a full group-by — each a
+//! pass over the table per cuboid. This engine instead labels every row
+//! with its finest cell once ([`finest_cell_ids`]); each iceberg cuboid
+//! then maps finest cells to its iceberg cells and **scatters** the row
+//! ids into exactly-sized vectors in one ascending pass over the labels
+//! ([`FinestCells::gather`]), cuboids in parallel. Inequality 1 lives on
+//! as an ablation (`ablation_cost_model`); DESIGN.md records the
+//! deviation.
 //!
-//! * **prune-then-group** — equi-join the raw table against the cuboid's
-//!   iceberg-cell list, then group only the surviving rows (wins when the
-//!   cuboid has few iceberg cells);
-//! * **group-everything** — a plain full-table group-by.
-//!
-//! Both plans ride the chunked storage kernels on bit-packed keys: the
-//! semi-join probes a packed cell set and the group-by hashes one packed
-//! word per row (see [`tabula_storage::kernel`]).
+//! For sample-independent losses the same pass folds each cell's
+//! [`AccuracyLoss::State`] — the state the SamGraph join prices pairs
+//! from — in ascending row order, so the join never re-reads raw rows.
 //!
 //! Local samples are then drawn per cell with the accuracy-loss-aware
 //! greedy sampler, scheduled on the shared `tabula-par` work-stealing
@@ -26,31 +28,23 @@ use crate::loss::AccuracyLoss;
 use crate::Result;
 use tabula_obs::span;
 use tabula_par::Pool;
-use tabula_storage::cube::{CellKey, CuboidMask};
-use tabula_storage::group::group_rows;
-use tabula_storage::join::semi_join as semi_join_rows;
-use tabula_storage::{group_by, FxHashSet, RowId, Table};
+use tabula_storage::cube::{finest_cell_ids, CellKey, CuboidMask, FinestCells};
+use tabula_storage::{RowId, Table};
 
 /// One materialized iceberg cell: the paper's cube-table row, carrying the
-/// cell's raw data (needed later by the SamGraph join) and its local
-/// sample.
+/// cell's raw data and its local sample.
 #[derive(Debug, Clone)]
-pub struct CubeEntry {
+pub struct CubeEntry<S> {
     /// The cell.
     pub cell: CellKey,
-    /// Row ids of the cell's raw data.
+    /// Row ids of the cell's raw data, ascending.
     pub rows: Vec<RowId>,
     /// Row ids of the cell's local sample (⊆ `rows`).
     pub sample: Vec<RowId>,
-}
-
-/// Which plan Algorithm 2's cost model chose for a cuboid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CuboidPlan {
-    /// Equi-join against the iceberg-cell list, then group.
-    PruneThenGroup,
-    /// Full-table group-by.
-    GroupAll,
+    /// The loss state folded from `rows` in ascending order against an
+    /// empty sample context — `Some` exactly when the loss state does
+    /// not depend on the sample (the SamGraph join prices pairs from it).
+    pub state: Option<S>,
 }
 
 /// Statistics of a real run.
@@ -60,46 +54,42 @@ pub struct RealRunStats {
     pub cuboids_processed: usize,
     /// Cuboids skipped because the dry run found no icebergs in them.
     pub cuboids_skipped: usize,
-    /// How many processed cuboids took the prune-then-group plan.
+    /// Always 0: every cuboid takes the one scatter fetch. Kept because
+    /// benchmark records and snapshot `stats` blocks carry the field.
     pub prune_plans: usize,
-    /// How many took the full group-by plan.
+    /// Always 0, like [`prune_plans`](Self::prune_plans).
     pub group_all_plans: usize,
 }
 
 /// Output of the real run.
 #[derive(Debug)]
-pub struct RealRun {
+pub struct RealRun<S> {
     /// Materialized iceberg cells, in deterministic order.
-    pub entries: Vec<CubeEntry>,
-    /// Plan statistics.
+    pub entries: Vec<CubeEntry<S>>,
+    /// Fetch statistics.
     pub stats: RealRunStats,
 }
 
-/// The paper's Inequality 1. `n` = table cardinality, `i` = iceberg cells
-/// in the cuboid, `k` = all cells in the cuboid. Returns the chosen plan.
-pub fn choose_plan(n: usize, i: usize, k: usize) -> CuboidPlan {
-    // Degenerate cuboids (k < 2) leave log_k undefined; a full group-by of
-    // one group is trivially right.
-    if k < 2 || i == 0 {
-        return CuboidPlan::GroupAll;
+/// `loss`'s state of `rows`, folded in order from `State::default()`
+/// against an empty sample context — `None` when the state depends on
+/// the sample. The fold the real run performs during its fetch.
+pub fn fold_state<L: AccuracyLoss>(loss: &L, table: &Table, rows: &[RowId]) -> Option<L::State> {
+    if loss.state_depends_on_sample() {
+        return None;
     }
-    let (n, i, k) = (n as f64, i as f64, k as f64);
-    let log_k = |x: f64| x.max(1.0).ln() / k.ln();
-    let pruned_rows = (i / k) * n; // expected rows surviving the prune
-    let cost_prune = n * i + pruned_rows * log_k(pruned_rows);
-    let cost_group_all = n * log_k(n);
-    if cost_prune < cost_group_all {
-        CuboidPlan::PruneThenGroup
-    } else {
-        CuboidPlan::GroupAll
+    let ctx = loss.prepare(table, &[]);
+    let mut state = L::State::default();
+    for &r in rows {
+        loss.fold(&ctx, &mut state, table, r);
     }
+    Some(state)
 }
 
 /// Run the real-run stage: materialize local samples for every iceberg
 /// cell of `dry`, drawing them with `loss`'s Algorithm-1 sampler.
 ///
-/// `parallelism` caps the worker threads used for per-cell sampling
-/// (0 = number of available cores).
+/// `parallelism` caps the worker threads used for the per-cuboid fetch
+/// and per-cell sampling (0 = number of available cores).
 pub fn real_run<L: AccuracyLoss>(
     table: &Table,
     cols: &[usize],
@@ -107,54 +97,67 @@ pub fn real_run<L: AccuracyLoss>(
     theta: f64,
     dry: &DryRun<L::State>,
     parallelism: usize,
-) -> Result<RealRun> {
+) -> Result<RealRun<L::State>> {
     let mut stats = RealRunStats::default();
-    let n_cuboids = dry.states.cuboids.len();
     // Deterministic cuboid order: finest first, then by mask.
     let mut masks: Vec<CuboidMask> = dry.iceberg.keys().copied().collect();
     masks.sort_by_key(|m| (std::cmp::Reverse(m.arity()), *m));
-    stats.cuboids_skipped = n_cuboids - masks.len();
+    stats.cuboids_skipped = dry.states.cuboids.len() - masks.len();
+    stats.cuboids_processed = masks.len();
+    let pool = if parallelism == 0 { Pool::global() } else { Pool::with_threads(parallelism) };
 
-    // Phase 1 (sequential, data-system work): fetch each iceberg cell's
-    // raw rows, with the per-cuboid plan chosen by the cost model.
-    let mut work: Vec<(CellKey, Vec<RowId>)> = Vec::with_capacity(dry.iceberg_count);
-    for mask in masks {
-        let iceberg_keys = &dry.iceberg[&mask];
-        let attrs: Vec<usize> = mask.attrs().iter().map(|&a| cols[a]).collect();
-        let k_cells = dry.states.cuboids[&mask].len();
-        let plan = choose_plan(table.len(), iceberg_keys.len(), k_cells);
-        let _cuboid_span =
-            span!("real_run.cuboid", "mask={mask:?} plan={plan:?} icebergs={}", iceberg_keys.len());
-        stats.cuboids_processed += 1;
-        let iceberg_set: FxHashSet<Vec<u32>> = iceberg_keys.iter().cloned().collect();
-        let grouped = match plan {
-            CuboidPlan::PruneThenGroup => {
-                stats.prune_plans += 1;
-                let rows = semi_join_rows(table, &attrs, &iceberg_set)?;
-                group_rows(table, &attrs, &rows)?
-            }
-            CuboidPlan::GroupAll => {
-                stats.group_all_plans += 1;
-                group_by(table, &attrs)?
-            }
-        };
-        let n_attrs = cols.len();
-        let mut cells: Vec<(Vec<u32>, Vec<RowId>)> =
-            grouped.groups.into_iter().filter(|(key, _)| iceberg_set.contains(key)).collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (compact, rows) in cells {
-            work.push((CellKey::from_compact(mask, n_attrs, &compact), rows));
-        }
+    // Phase 1: label rows by finest cell once, then scatter every iceberg
+    // cuboid's rows (and fold its states) in one pass each.
+    if masks.is_empty() {
+        return Ok(RealRun { entries: Vec::new(), stats });
     }
+    let fetch_span =
+        span!("real_run.fetch", "cuboids={} icebergs={}", masks.len(), dry.iceberg_count);
+    let fine = finest_cell_ids(table, cols)?;
+    let per_cuboid = pool.run(masks.len(), |i| {
+        fetch_cuboid(table, loss, &fine, cols.len(), masks[i], &dry.iceberg[&masks[i]])
+    });
+    drop(fetch_span);
+    let work: Vec<(CellKey, Vec<RowId>, Option<L::State>)> =
+        per_cuboid.into_iter().flatten().collect();
 
     // Phase 2 (parallel): draw a local sample per iceberg cell on the
     // shared work-stealing pool.
-    let pool = if parallelism == 0 { Pool::global() } else { Pool::with_threads(parallelism) };
     let sample_span =
         span!("real_run.sample_cells", "cells={} threads={}", work.len(), pool.threads());
     let entries = sample_cells(table, loss, theta, work, &pool);
     drop(sample_span);
     Ok(RealRun { entries, stats })
+}
+
+/// One iceberg cuboid's cells, ascending by compact key, each with its
+/// rows (ascending) and — for sample-independent losses — its state.
+/// Cells without rows in `table` are dropped.
+fn fetch_cuboid<L: AccuracyLoss>(
+    table: &Table,
+    loss: &L,
+    fine: &FinestCells,
+    n: usize,
+    mask: CuboidMask,
+    iceberg_keys: &[Vec<u32>],
+) -> Vec<(CellKey, Vec<RowId>, Option<L::State>)> {
+    let mut keys = iceberg_keys.to_vec();
+    keys.sort_unstable();
+    keys.dedup();
+    let fold_ctx = (!loss.state_depends_on_sample()).then(|| loss.prepare(table, &[]));
+    let mut states: Vec<Option<L::State>> =
+        keys.iter().map(|_| fold_ctx.as_ref().map(|_| L::State::default())).collect();
+    let rows = fine.gather(&mask.attrs(), &keys, |cell, row| {
+        if let (Some(ctx), Some(state)) = (&fold_ctx, &mut states[cell]) {
+            loss.fold(ctx, state, table, row);
+        }
+    });
+    keys.into_iter()
+        .zip(rows)
+        .zip(states)
+        .filter(|((_, rows), _)| !rows.is_empty())
+        .map(|((compact, rows), state)| (CellKey::from_compact(mask, n, &compact), rows, state))
+        .collect()
 }
 
 /// Draw local samples for `work` on `pool`, preserving input order in the
@@ -164,14 +167,14 @@ fn sample_cells<L: AccuracyLoss>(
     table: &Table,
     loss: &L,
     theta: f64,
-    work: Vec<(CellKey, Vec<RowId>)>,
+    work: Vec<(CellKey, Vec<RowId>, Option<L::State>)>,
     pool: &Pool,
-) -> Vec<CubeEntry> {
+) -> Vec<CubeEntry<L::State>> {
     let samples: Vec<Vec<RowId>> =
         pool.run(work.len(), |i| loss.sample_greedy(table, &work[i].1, theta));
     work.into_iter()
         .zip(samples)
-        .map(|((cell, rows), sample)| CubeEntry { cell, rows, sample })
+        .map(|((cell, rows, state), sample)| CubeEntry { cell, rows, sample, state })
         .collect()
 }
 
@@ -182,20 +185,9 @@ mod tests {
     use crate::loss::{HeatmapLoss, MeanLoss, Metric};
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
+    use tabula_storage::agg::SumCount;
 
-    #[test]
-    fn cost_model_prefers_prune_for_few_icebergs() {
-        // A single iceberg cell in a wide cuboid: join wins. (The paper's
-        // literal cost model prices the join at N·i, so prune only wins
-        // for very small i relative to log_k(N).)
-        assert_eq!(choose_plan(1_000_000, 1, 5_000), CuboidPlan::PruneThenGroup);
-        // Most cells iceberg: group-all wins (the N·i term explodes).
-        assert_eq!(choose_plan(1_000_000, 4_000, 5_000), CuboidPlan::GroupAll);
-        // Degenerate cuboid.
-        assert_eq!(choose_plan(100, 1, 1), CuboidPlan::GroupAll);
-    }
-
-    fn build(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry>, RealRunStats) {
+    fn build(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry<SumCount>>, RealRunStats) {
         let t = example_dcm_table();
         let fare = t.schema().index_of("fare").unwrap();
         let loss = MeanLoss::new(fare);
@@ -203,6 +195,7 @@ mod tests {
         let ctx = loss.prepare(&t, &global);
         let dry = dry_run(&t, &[0, 1, 2], &loss, &ctx, theta).unwrap();
         let rr = real_run(&t, &[0, 1, 2], &loss, theta, &dry, 2).unwrap();
+        assert_eq!((rr.stats.prune_plans, rr.stats.group_all_plans), (0, 0));
         (t, rr.entries, rr.stats)
     }
 
@@ -222,6 +215,26 @@ mod tests {
             let achieved = loss.loss(&t, &e.rows, &e.sample);
             assert!(achieved <= theta + 1e-12, "cell {}: {achieved}", e.cell);
         }
+    }
+
+    #[test]
+    fn states_are_the_fold_of_the_rows_bit_for_bit() {
+        let (t, entries, _) = build(0.10);
+        let loss = MeanLoss::new(t.schema().index_of("fare").unwrap());
+        for e in &entries {
+            let state = e.state.expect("mean loss states are folded during the fetch");
+            let fresh = fold_state(&loss, &t, &e.rows).unwrap();
+            assert_eq!(state.sum.to_bits(), fresh.sum.to_bits(), "cell {}", e.cell);
+            assert_eq!(state.count, fresh.count, "cell {}", e.cell);
+        }
+        // Sample-dependent losses carry no state.
+        let pickup = t.schema().index_of("pickup").unwrap();
+        let heat = HeatmapLoss::new(pickup, Metric::Euclidean);
+        let ctx = heat.prepare(&t, &draw_global_sample(&t, 5, 3));
+        let dry = dry_run(&t, &[0, 1, 2], &heat, &ctx, 0.02).unwrap();
+        let rr = real_run(&t, &[0, 1, 2], &heat, 0.02, &dry, 2).unwrap();
+        assert!(!rr.entries.is_empty());
+        assert!(rr.entries.iter().all(|e| e.state.is_none()));
     }
 
     #[test]
@@ -276,8 +289,8 @@ mod tests {
         let t = example_dcm_table();
         let fare = t.schema().index_of("fare").unwrap();
         let loss = MeanLoss::new(fare);
-        let work: Vec<(CellKey, Vec<RowId>)> =
-            (0..6).map(|i| (CellKey::new(vec![Some(i)]), t.all_rows())).collect();
+        let work: Vec<(CellKey, Vec<RowId>, Option<SumCount>)> =
+            (0..6).map(|i| (CellKey::new(vec![Some(i)]), t.all_rows(), None)).collect();
         let serial = sample_cells(&t, &loss, 0.1, work.clone(), &Pool::with_threads(1));
         let parallel = sample_cells(&t, &loss, 0.1, work, &Pool::with_threads(4));
         assert_eq!(serial.len(), parallel.len());

@@ -11,8 +11,13 @@
 //! simply stay materialized). This implementation exploits that freedom:
 //!
 //! * for **sample-independent** losses (mean, regression, expression
-//!   losses) every pair is priced in O(1) from pre-folded cell states, so
-//!   the join is exhaustive;
+//!   losses) every pair is priced in O(1) from the cell states the real
+//!   run folded during its fetch, so the join is exhaustive. A loss that
+//!   exposes [`AccuracyLoss::state_key`] / [`AccuracyLoss::key_range`]
+//!   (the mean) gets an **interval join**: cells sorted by key once, each
+//!   sample binary-searches its key range and prices only the candidates
+//!   inside it — the range provably holds every true edge, so the graph
+//!   is the exhaustive one, found in O(C log C + candidates);
 //! * for **sample-dependent** losses (heat map, histogram) each pair costs
 //!   a pass over the target cell's raw rows, so candidates are ranked by a
 //!   cheap per-cell signature (centroid / mean) and only the
@@ -66,11 +71,15 @@ impl SamGraph {
 }
 
 /// Build the SamGraph over `entries` under `loss` / `theta`.
+///
+/// For sample-independent losses every entry must carry its folded
+/// `state` (the real run's output always does); the raw rows are read
+/// only on the sample-dependent path.
 pub fn build_samgraph<L: AccuracyLoss>(
     table: &Table,
     loss: &L,
     theta: f64,
-    entries: &[CubeEntry],
+    entries: &[CubeEntry<L::State>],
     cfg: &SamGraphConfig,
 ) -> SamGraph {
     let m = entries.len();
@@ -81,28 +90,32 @@ pub fn build_samgraph<L: AccuracyLoss>(
     }
 
     if !loss.state_depends_on_sample() {
-        // O(1)-per-pair path: fold each cell's state once, prepare each
-        // sample's context once, evaluate finish() for every ordered pair.
-        // Each vertex's out-edge list is an independent task; lists come
-        // back in vertex order, so the graph is thread-count-invariant.
-        let dummy_ctx = loss.prepare(table, &[]);
-        let states: Vec<L::State> = pool.par_map(entries, |e| {
-            let mut s = L::State::default();
-            for &r in &e.rows {
-                loss.fold(&dummy_ctx, &mut s, table, r);
+        // O(1)-per-pair path over the real run's folded states. Each
+        // vertex's out-edge list is an independent task; lists come back
+        // in vertex order, so the graph is thread-count-invariant.
+        let states: Vec<&L::State> = entries
+            .iter()
+            .map(|e| e.state.as_ref().expect("sample-independent entries carry their state"))
+            .collect();
+        let ctxs: Vec<L::SampleCtx> = pool.par_map(entries, |e| loss.prepare(table, &e.sample));
+        let keys: Option<Vec<f64>> =
+            states.iter().map(|s| loss.state_key(s).filter(|k| k.is_finite())).collect();
+        let ranges: Option<Vec<(f64, f64)>> =
+            ctxs.iter().map(|c| loss.key_range(c, theta)).collect();
+        let edges = match (keys, ranges) {
+            (Some(keys), Some(ranges)) => {
+                interval_join(loss, theta, &states, &ctxs, &keys, &ranges, &pool)
             }
-            s
-        });
-        let edges = pool.run(m, |u| {
-            let ctx_u = loss.prepare(table, &entries[u].sample);
-            let mut out = vec![u as u32];
-            for (v, state_v) in states.iter().enumerate() {
-                if u != v && loss.finish(&ctx_u, state_v) <= theta {
-                    out.push(v as u32);
+            _ => pool.run(m, |u| {
+                let mut out = vec![u as u32];
+                for (v, state_v) in states.iter().enumerate() {
+                    if u != v && loss.finish(&ctxs[u], state_v) <= theta {
+                        out.push(v as u32);
+                    }
                 }
-            }
-            out
-        });
+                out
+            }),
+        };
         return SamGraph { edges };
     }
 
@@ -143,6 +156,46 @@ pub fn build_samgraph<L: AccuracyLoss>(
     SamGraph { edges }
 }
 
+/// The edges of every vertex `u` whose range `ranges[u]` holds the keys
+/// of all its true targets: binary-search the key-sorted vertices, price
+/// each candidate exactly, and emit `[u, then ascending v]` through a
+/// bitset — the same lists, in the same order, as pricing every pair.
+fn interval_join<L: AccuracyLoss>(
+    loss: &L,
+    theta: f64,
+    states: &[&L::State],
+    ctxs: &[L::SampleCtx],
+    keys: &[f64],
+    ranges: &[(f64, f64)],
+    pool: &Pool,
+) -> Vec<Vec<u32>> {
+    let m = states.len();
+    let mut by_key: Vec<u32> = (0..m as u32).collect();
+    by_key.sort_unstable_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+    let sorted: Vec<f64> = by_key.iter().map(|&v| keys[v as usize]).collect();
+    pool.run(m, |u| {
+        let (lo, hi) = ranges[u];
+        let start = sorted.partition_point(|&k| k < lo);
+        let end = start + sorted[start..].partition_point(|&k| k <= hi);
+        let mut hit = vec![0u64; m.div_ceil(64)];
+        for &v in &by_key[start..end] {
+            let v = v as usize;
+            if v != u && loss.finish(&ctxs[u], states[v]) <= theta {
+                hit[v / 64] |= 1 << (v % 64);
+            }
+        }
+        let mut out = vec![u as u32];
+        for (w, &word) in hit.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push((w * 64 + bits.trailing_zeros() as usize) as u32);
+                bits &= bits - 1;
+            }
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,8 +204,9 @@ mod tests {
     use crate::realrun::real_run;
     use crate::serfling::draw_global_sample;
     use tabula_data::example_dcm_table;
+    use tabula_storage::agg::SumCount;
 
-    fn entries_for_mean(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry>) {
+    fn entries_for_mean(theta: f64) -> (tabula_storage::Table, Vec<CubeEntry<SumCount>>) {
         let t = example_dcm_table();
         let fare = t.schema().index_of("fare").unwrap();
         let loss = MeanLoss::new(fare);

@@ -219,3 +219,41 @@ fn provenance_counters_are_thread_count_independent() {
     assert_eq!(tallies[0], tallies[1], "provenance split differs between 1 and 2 threads");
     assert_eq!(tallies[0], tallies[2], "provenance split differs between 1 and 8 threads");
 }
+
+/// The real run's finest-cell labels and its entries — cells, rows,
+/// samples and folded states — are identical at 1, 2 and 8 threads. The
+/// table spans three morsels, so the label merge across morsels runs.
+#[test]
+fn real_run_is_identical_for_one_two_and_eight_threads() {
+    use tabula_core::dryrun::dry_run;
+    use tabula_core::realrun::real_run;
+    use tabula_core::serfling::draw_global_sample;
+    use tabula_core::AccuracyLoss;
+    use tabula_storage::cube::finest_cell_ids;
+
+    let table = TaxiGenerator::new(TaxiConfig { rows: 140_000, seed: 5 }).generate();
+    let cols: Vec<usize> =
+        CUBED_ATTRIBUTES[..4].iter().map(|a| table.schema().index_of(a).unwrap()).collect();
+    let loss = MeanLoss::new(table.schema().index_of("fare_amount").unwrap());
+    let ctx = loss.prepare(&table, &draw_global_sample(&table, 500, 3));
+    let run = |threads: usize| {
+        tabula_par::scoped_threads(threads, || {
+            let fine = finest_cell_ids(&table, &cols).unwrap();
+            let dry = dry_run(&table, &cols, &loss, &ctx, 0.05).unwrap();
+            let rr = real_run(&table, &cols, &loss, 0.05, &dry, threads).unwrap();
+            let entries: Vec<_> = rr
+                .entries
+                .into_iter()
+                .map(|e| (e.cell, e.rows, e.sample, e.state.map(|s| (s.sum.to_bits(), s.count))))
+                .collect();
+            (fine, entries)
+        })
+    };
+    let (fine, entries) = run(1);
+    assert!(!entries.is_empty(), "seeded run must fetch iceberg cells");
+    for threads in [2usize, 8] {
+        let (f, e) = run(threads);
+        assert!(f == fine, "finest-cell ids differ between 1 and {threads} threads");
+        assert!(e == entries, "real-run entries differ between 1 and {threads} threads");
+    }
+}

@@ -444,8 +444,8 @@ impl Session {
                         s.dry_run, s.real_run, s.selection, s.total
                     ),
                     format!(
-                        "plans: {} prune / {} group-all / {} cuboids skipped",
-                        s.prune_plans, s.group_all_plans, s.cuboids_skipped
+                        "cuboids: {} processed / {} skipped",
+                        s.cuboids_processed, s.cuboids_skipped
                     ),
                     format!(
                         "memory: global {}B + cube table {}B + samples {}B = {}B",
@@ -758,6 +758,7 @@ mod tests {
         // EXPLAIN prints the build profile.
         let QueryResult::Info(lines) = s.execute("EXPLAIN CUBE c").unwrap() else { panic!() };
         assert!(lines.iter().any(|l| l.contains("iceberg")));
+        assert!(lines.iter().any(|l| l.starts_with("cuboids: ") && l.ends_with(" skipped")));
 
         // DROP frees the name for reuse; built-ins cannot be dropped.
         assert!(matches!(s.execute("DROP CUBE c").unwrap(), QueryResult::Dropped(_)));

@@ -31,7 +31,7 @@
 //! count.
 
 use crate::agg::AggState;
-use crate::encoding::RunsView;
+use crate::encoding::{for_each_segment, RunsView};
 use crate::fx::FxHashMap;
 use crate::kernel::CHUNK_ROWS;
 use crate::packed::{KeyLayout, PackedKey, PackedKeyBuf};
@@ -439,20 +439,8 @@ where
             let mut slots: FxHashMap<K, u32> = FxHashMap::default();
             let mut keys: Vec<K> = Vec::new();
             let mut states: Vec<S> = Vec::new();
-            // Per-column cursor at the run containing the morsel start.
-            let mut cursors: Vec<usize> = runs
-                .iter()
-                .map(|rv| rv.ends.partition_point(|&e| (e as usize) <= range.start))
-                .collect();
-            let mut scratch = vec![0u32; runs.len()];
-            let mut pos = range.start;
-            while pos < range.end {
-                let mut seg_end = range.end;
-                for (ci, rv) in runs.iter().enumerate() {
-                    scratch[ci] = rv.values[cursors[ci]];
-                    seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
-                }
-                let k: K = layout.encode(&scratch);
+            for_each_segment(runs, range, |codes, seg| {
+                let k: K = layout.encode(codes);
                 let slot = match slots.get(&k) {
                     Some(&s) => s,
                     None => {
@@ -464,16 +452,10 @@ where
                     }
                 };
                 let state = &mut states[slot as usize];
-                for row in pos..seg_end {
+                for row in seg {
                     fold(state, row as RowId);
                 }
-                for (ci, rv) in runs.iter().enumerate() {
-                    if rv.ends[cursors[ci]] as usize == seg_end {
-                        cursors[ci] += 1;
-                    }
-                }
-                pos = seg_end;
-            }
+            });
             (keys, states)
         });
     merge_packed_partials(layout, partials)
@@ -506,6 +488,214 @@ fn merge_packed_partials<K: PackedKey, S: AggState>(
         out.insert(layout.decode(k), s);
     }
     out
+}
+
+/// Marks a finest cell that rolls up into none of the requested cells.
+const NO_CELL: u32 = u32::MAX;
+
+/// Every row's finest cell as a dense id — the output of
+/// [`finest_cell_ids`]. Any coarser cell's rows are the rows whose finest
+/// cell projects onto it, so one pass over `ids` gathers the rows of
+/// every cell of a cuboid ([`FinestCells::gather`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FinestCells {
+    ids: Vec<u32>,
+    counts: Vec<u32>,
+    /// Per finest cell: its code tuple, `width` codes each.
+    codes: Vec<u32>,
+    width: usize,
+}
+
+impl FinestCells {
+    /// Per row: the id of the row's finest cell. Ids are dense
+    /// (`0..len()`) and assigned in first-seen row order.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Per finest cell: its number of rows.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Number of finest cells.
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether the table had no rows.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// The code tuple of finest cell `id`, one code per grouping column.
+    #[inline]
+    pub fn key(&self, id: u32) -> &[u32] {
+        let at = id as usize * self.width;
+        &self.codes[at..at + self.width]
+    }
+
+    /// Map every finest cell to the index in `cells` of the cell it rolls
+    /// up to in the cuboid grouping on key positions `attrs`, or to
+    /// [`NO_CELL`].
+    fn cell_of(&self, attrs: &[usize], cells: &[Vec<u32>]) -> Vec<u32> {
+        let index: FxHashMap<&[u32], u32> =
+            cells.iter().enumerate().map(|(i, key)| (key.as_slice(), i as u32)).collect();
+        let mut projected = Vec::with_capacity(attrs.len());
+        (0..self.len() as u32)
+            .map(|id| {
+                let key = self.key(id);
+                projected.clear();
+                projected.extend(attrs.iter().map(|&a| key[a]));
+                index.get(projected.as_slice()).copied().unwrap_or(NO_CELL)
+            })
+            .collect()
+    }
+
+    /// The rows of each of `cells` — compact keys (codes at key positions
+    /// `attrs`, in order) of one cuboid, free of duplicates — in ascending
+    /// row order, from one pass over the row ids; each vector is sized
+    /// exactly from the finest counts. `visit(cell, row)` runs once per
+    /// gathered row, in ascending row order — callers fold per-cell state
+    /// in the same pass.
+    pub fn gather(
+        &self,
+        attrs: &[usize],
+        cells: &[Vec<u32>],
+        mut visit: impl FnMut(usize, RowId),
+    ) -> Vec<Vec<RowId>> {
+        let cell_of = self.cell_of(attrs, cells);
+        let mut sizes = vec![0usize; cells.len()];
+        for (&cell, &count) in cell_of.iter().zip(&self.counts) {
+            if cell != NO_CELL {
+                sizes[cell as usize] += count as usize;
+            }
+        }
+        let mut rows: Vec<Vec<RowId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (row, &id) in self.ids.iter().enumerate() {
+            let cell = cell_of[id as usize];
+            if cell != NO_CELL {
+                rows[cell as usize].push(row as RowId);
+                visit(cell as usize, row as RowId);
+            }
+        }
+        rows
+    }
+}
+
+/// Assign every row of `table` the dense id of its finest cell (the
+/// group of its full code tuple over `cols`), with each finest cell's
+/// code tuple and row count.
+///
+/// The same chunked packed-key scan as [`finest_cuboid`] — run-aligned
+/// when every grouping column is RLE-encoded — probing a slot map per
+/// chunk instead of folding states. Morsels assign local ids in
+/// first-seen order and merge in ascending morsel order, so ids are in
+/// first-seen row order at any thread count.
+pub fn finest_cell_ids(table: &Table, cols: &[usize]) -> Result<FinestCells> {
+    let cats: Vec<Cat<'_>> = cols.iter().map(|&c| table.cat(c)).collect::<Result<_>>()?;
+    let cards: Vec<usize> = cats.iter().map(|c| c.cardinality()).collect();
+    let layout = KeyLayout::from_cardinalities(&cards)?;
+    Ok(if layout.total_bits() <= 64 {
+        cell_ids_packed::<u64>(table.len(), &layout, &cats)
+    } else {
+        cell_ids_packed::<u128>(table.len(), &layout, &cats)
+    })
+}
+
+/// One morsel's slot table: packed keys and row counts per local id, and
+/// the local id of every row.
+struct MorselIds<K> {
+    slots: FxHashMap<K, u32>,
+    keys: Vec<K>,
+    counts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl<K: PackedKey> MorselIds<K> {
+    fn new(rows: usize) -> Self {
+        MorselIds {
+            slots: FxHashMap::default(),
+            keys: Vec::new(),
+            counts: Vec::new(),
+            ids: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Account `rows` consecutive rows of key `k`.
+    #[inline]
+    fn push(&mut self, k: K, rows: usize) {
+        let slot = match self.slots.get(&k) {
+            Some(&s) => s,
+            None => {
+                let s = self.keys.len() as u32;
+                self.slots.insert(k, s);
+                self.keys.push(k);
+                self.counts.push(0);
+                s
+            }
+        };
+        self.counts[slot as usize] += rows as u32;
+        self.ids.extend(std::iter::repeat_n(slot, rows));
+    }
+}
+
+fn cell_ids_packed<K: PackedKey>(len: usize, layout: &KeyLayout, cats: &[Cat<'_>]) -> FinestCells {
+    // RLE runs are checked before `codes()`, which would force a decode.
+    let run_views: Option<Vec<RunsView<'_, u32>>> = cats.iter().map(|c| c.runs()).collect();
+    let run_views = run_views.filter(|r| !r.is_empty());
+    let code_slices: Vec<&[u32]> = match run_views {
+        Some(_) => Vec::new(),
+        None => cats.iter().map(|c| c.codes()).collect(),
+    };
+    let partials: Vec<MorselIds<K>> =
+        Pool::global().par_chunks(len, DEFAULT_MORSEL_ROWS, |range| {
+            let mut morsel = MorselIds::new(range.len());
+            match &run_views {
+                Some(runs) => for_each_segment(runs, range, |codes, seg| {
+                    morsel.push(layout.encode(codes), seg.len());
+                }),
+                None => {
+                    let mut packed = PackedKeyBuf::<K>::new();
+                    for start in range.clone().step_by(CHUNK_ROWS) {
+                        packed.fill_range(
+                            layout,
+                            &code_slices,
+                            start..range.end.min(start + CHUNK_ROWS),
+                        );
+                        for &k in packed.keys() {
+                            morsel.push(k, 1);
+                        }
+                    }
+                }
+            }
+            morsel
+        });
+    let mut merged = MorselIds::<K>::new(len);
+    for morsel in partials {
+        let global: Vec<u32> = morsel
+            .keys
+            .iter()
+            .zip(&morsel.counts)
+            .map(|(&k, &count)| {
+                let id = *merged.slots.entry(k).or_insert_with(|| {
+                    merged.keys.push(k);
+                    merged.counts.push(0);
+                    merged.keys.len() as u32 - 1
+                });
+                merged.counts[id as usize] += count;
+                id
+            })
+            .collect();
+        merged.ids.extend(morsel.ids.iter().map(|&local| global[local as usize]));
+    }
+    let mut codes = Vec::with_capacity(merged.keys.len() * layout.width());
+    let mut key = Vec::with_capacity(layout.width());
+    for &k in &merged.keys {
+        layout.decode_into(k, &mut key);
+        codes.extend_from_slice(&key);
+    }
+    FinestCells { ids: merged.ids, counts: merged.counts, codes, width: layout.width() }
 }
 
 /// Compute every cuboid of the cube by algebraic rollup: one raw scan for
@@ -811,6 +1001,50 @@ mod tests {
                 assert_eq!(s.sum.to_bits(), r.sum.to_bits(), "key {k:?}");
             }
         }
+    }
+
+    /// Finest ids follow first-seen row order, counts and keys agree with
+    /// a group-by, and gathering a cuboid's cells reproduces its groups
+    /// with rows ascending — plain and RLE-encoded alike.
+    #[test]
+    fn finest_cell_ids_match_group_by() {
+        let schema =
+            Schema::new(vec![Field::new("a", ColumnType::Str), Field::new("b", ColumnType::Int64)]);
+        let mut b = TableBuilder::new(schema);
+        for row in 0..150_000usize {
+            let blk = row / 53;
+            b.push_row(&[["n", "s", "e"][blk % 3].into(), ((blk % 7) as i64).into()]).unwrap();
+        }
+        let plain = b.finish().with_encoding(crate::EncodingMode::Off);
+        let fine = finest_cell_ids(&plain, &[0, 1]).unwrap();
+        let encoded = plain.with_encoding(crate::EncodingMode::Force);
+        assert!(encoded.cat(0).unwrap().runs().is_some());
+        assert_eq!(finest_cell_ids(&encoded, &[0, 1]).unwrap(), fine);
+
+        let mut first_seen = Vec::new();
+        for &id in fine.ids() {
+            if id as usize == first_seen.len() {
+                first_seen.push(id);
+            }
+            assert!((id as usize) < first_seen.len(), "id {id} skips ahead");
+        }
+        let groups = crate::group_by(&plain, &[0, 1]).unwrap().groups;
+        assert_eq!(fine.len(), groups.len());
+        for id in 0..fine.len() as u32 {
+            assert_eq!(groups[fine.key(id)].len(), fine.counts()[id as usize] as usize);
+        }
+        // Cuboid on attribute 1 only: gather two of its cells.
+        let cells = vec![vec![3], vec![0]];
+        let mut visited = Vec::new();
+        let rows = fine.gather(&[1], &cells, |cell, row| visited.push((cell, row)));
+        let by_b = crate::group_by(&plain, &[1]).unwrap().groups;
+        assert_eq!(rows[0], by_b[&vec![3]]);
+        assert_eq!(rows[1], by_b[&vec![0]]);
+        assert_eq!(rows[0].capacity(), rows[0].len());
+        assert!(visited.windows(2).all(|w| w[0].1 < w[1].1));
+        assert_eq!(visited.len(), rows[0].len() + rows[1].len());
+        // A cell outside the domain gathers nothing.
+        assert_eq!(fine.gather(&[1], &[vec![99]], |_, _| ()), vec![Vec::<RowId>::new()]);
     }
 
     #[test]

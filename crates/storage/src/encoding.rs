@@ -149,6 +149,36 @@ impl<'a, T: Copy> RunsView<'a, T> {
     }
 }
 
+/// Walk the RLE runs of several columns in lockstep over `range`, calling
+/// `f(codes, segment)` for each maximal row segment on which every column
+/// holds one value, in ascending row order — the run-aligned kernels'
+/// unit of work: one key encode and one slot probe per segment.
+pub(crate) fn for_each_segment(
+    runs: &[RunsView<'_, u32>],
+    range: std::ops::Range<usize>,
+    mut f: impl FnMut(&[u32], std::ops::Range<usize>),
+) {
+    // Per-column cursor at the run containing the range start.
+    let mut cursors: Vec<usize> =
+        runs.iter().map(|rv| rv.ends.partition_point(|&e| (e as usize) <= range.start)).collect();
+    let mut codes = vec![0u32; runs.len()];
+    let mut pos = range.start;
+    while pos < range.end {
+        let mut seg_end = range.end;
+        for (ci, rv) in runs.iter().enumerate() {
+            codes[ci] = rv.values[cursors[ci]];
+            seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
+        }
+        f(&codes, pos..seg_end);
+        for (ci, rv) in runs.iter().enumerate() {
+            if rv.ends[cursors[ci]] as usize == seg_end {
+                cursors[ci] += 1;
+            }
+        }
+        pos = seg_end;
+    }
+}
+
 /// FOR frame of a column: `ordinal(i) = base + delta(i)` with deltas
 /// bit-packed LSB-first at a fixed `width` across `words`.
 #[derive(Clone, Copy, Debug)]

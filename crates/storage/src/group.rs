@@ -12,7 +12,7 @@
 //! per row, no slice keys, no per-group key allocation until the final
 //! decode. Full-table scans over RLE columns group whole runs at a time.
 
-use crate::encoding::RunsView;
+use crate::encoding::{for_each_segment, RunsView};
 use crate::fx::FxHashMap;
 use crate::kernel::CHUNK_ROWS;
 use crate::packed::{KeyLayout, PackedKey, PackedKeyBuf};
@@ -75,7 +75,7 @@ pub fn group_by(table: &Table, cols: &[usize]) -> Result<GroupedRows> {
 }
 
 /// Group an explicit subset of rows of `table` by the categorical columns
-/// `cols`. Used by the real-run stage after pruning to iceberg-cell rows.
+/// `cols` (e.g. the appended rows of an incremental refresh).
 pub fn group_rows(table: &Table, cols: &[usize], rows: &[RowId]) -> Result<GroupedRows> {
     group_impl(table, cols, RowSrc::Subset(rows))
 }
@@ -128,19 +128,8 @@ fn group_runs<K: PackedKey>(
             let mut slots: FxHashMap<K, u32> = FxHashMap::default();
             let mut keys: Vec<K> = Vec::new();
             let mut members: Vec<Vec<RowId>> = Vec::new();
-            let mut cursors: Vec<usize> = runs
-                .iter()
-                .map(|rv| rv.ends.partition_point(|&e| (e as usize) <= range.start))
-                .collect();
-            let mut scratch = vec![0u32; runs.len()];
-            let mut pos = range.start;
-            while pos < range.end {
-                let mut seg_end = range.end;
-                for (ci, rv) in runs.iter().enumerate() {
-                    scratch[ci] = rv.values[cursors[ci]];
-                    seg_end = seg_end.min(rv.ends[cursors[ci]] as usize);
-                }
-                let k: K = layout.encode(&scratch);
+            for_each_segment(runs, range, |codes, seg| {
+                let k: K = layout.encode(codes);
                 let slot = match slots.get(&k) {
                     Some(&s) => s,
                     None => {
@@ -151,14 +140,8 @@ fn group_runs<K: PackedKey>(
                         s
                     }
                 };
-                members[slot as usize].extend(pos as RowId..seg_end as RowId);
-                for (ci, rv) in runs.iter().enumerate() {
-                    if rv.ends[cursors[ci]] as usize == seg_end {
-                        cursors[ci] += 1;
-                    }
-                }
-                pos = seg_end;
-            }
+                members[slot as usize].extend(seg.start as RowId..seg.end as RowId);
+            });
             (keys, members)
         });
     merge_packed_members(layout, partials)

@@ -5,7 +5,9 @@
 //! are few, is "run an equi-join operation between the cuboid iceberg cell
 //! table and the raw data". This module implements that join as a hash
 //! semi-join: build a hash set over the (small) iceberg-cell keys, then
-//! stream the raw rows through it.
+//! stream the raw rows through it. The real run itself fetches through
+//! [`crate::cube::finest_cell_ids`] instead; this plan serves the
+//! reference fetch and the Inequality-1 ablation.
 
 use crate::fx::FxHashSet;
 use crate::kernel::CHUNK_ROWS;
